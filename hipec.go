@@ -42,10 +42,11 @@
 //     and the kernel is single-goroutine.
 //   - Realtime (SubstrateConfig{Kind: SubstrateReal, Store: ...}): the same
 //     engine on wall-clock time — frames carry real 4 KB payloads, a
-//     file-backed store (NewFileStore) does genuine I/O, cost models default
-//     to zero because time is measured rather than modeled, and concurrent
+//     file-backed store (NewFileStore) does genuine I/O, and concurrent
 //     callers drive the kernel through the serialized command loop
-//     (NewClient). See examples/realcache.
+//     (NewClient). Time is measured rather than modeled: the cost charges,
+//     the disk timing model, retry backoff and timers (so the checker
+//     watchdog) are sim-only. See examples/realcache.
 //
 // # Serving over the network
 //

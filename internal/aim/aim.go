@@ -99,7 +99,8 @@ type Result struct {
 // Mix.ThinkTime, then queues a job; jobs execute serially on the simulated
 // CPU. Throughput therefore rises with user count until the CPU saturates
 // (5-6 users in Figure 5) and then degrades as memory contention inflates
-// job service times.
+// job service times. k must be a simulated kernel: the mix charges CPU and
+// disk time, which only the sim models.
 func Run(k *core.Kernel, mix Mix, users, jobsPerUser int) (Result, error) {
 	if users <= 0 || jobsPerUser <= 0 {
 		return Result{}, fmt.Errorf("aim: users=%d jobs=%d", users, jobsPerUser)

@@ -130,7 +130,7 @@ var kernelPkgs = map[string]bool{
 
 // wallClockExempt may measure real time: the benchmark harness exists to
 // report wall-clock numbers, and the substrate package owns the realtime
-// backend (RealClock is built from time.Now/Sleep/AfterFunc by design).
+// backend (RealClock is built from time.Now/Sleep by design).
 var wallClockExempt = map[string]bool{
 	"internal/bench":     true,
 	"internal/substrate": true,

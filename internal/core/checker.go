@@ -78,7 +78,8 @@ func newChecker(k *Kernel) *Checker {
 }
 
 // Start schedules the watchdog on the kernel clock. Calling Start twice is
-// a no-op.
+// a no-op. The watchdog is sim-only: the realtime clock arms no timers, so
+// Start panics there (see Config.StartChecker).
 func (ck *Checker) Start() {
 	if ck.started {
 		return

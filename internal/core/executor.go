@@ -13,7 +13,8 @@ import (
 // from the paper (DESIGN.md §4): Table 4 reports ≈150 ns to fetch and
 // decode the three-command simple-fault path (≈50 ns/command), and Table 3
 // implies ≈7 µs of per-fault activation bookkeeping (timestamp write,
-// container lookup, executor entry/exit).
+// container lookup, executor entry/exit). They are sim-only: a realtime
+// executor charges nothing.
 type ExecCosts struct {
 	PerCommand time.Duration
 	Activation time.Duration
@@ -52,8 +53,9 @@ type Executor struct {
 	ForceChecked bool
 
 	// MaxSteps bounds commands per outer activation as a hard backstop
-	// against runaway policies when command costs are zero (the adaptive
-	// security checker handles the timed case).
+	// against runaway policies. On the sim the adaptive security checker
+	// handles the timed case; on the realtime substrate, which has no
+	// checker, MaxSteps is the only backstop.
 	MaxSteps int
 	// MaxActivateDepth bounds Activate nesting ("non-HiPEC-defined events
 	// ... can be viewed as procedure calls").
@@ -84,7 +86,14 @@ func (x *Executor) TotalCommands() int64 {
 	return x.kernel.Registry().Sum(kevent.EvPolicyActivation)
 }
 
+// newExecutor builds the executor. On the sim a zero costs takes the
+// calibrated defaults; on the realtime substrate nothing is charged.
 func newExecutor(k *Kernel, costs ExecCosts) *Executor {
+	if !k.Clock.IsSim() {
+		costs = ExecCosts{}
+	} else if costs == (ExecCosts{}) {
+		costs = DefaultExecCosts()
+	}
 	return &Executor{
 		kernel:           k,
 		Costs:            costs,

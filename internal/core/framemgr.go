@@ -297,8 +297,10 @@ func (fm *FrameManager) noteReleased(c *Container, n int) {
 // manager and receives a new free page", so it never waits for disk. The
 // flushed frame rejoins the machine pool when its write completes. If no
 // replacement frame is available the write happens synchronously and the
-// same frame is handed back clean. Clean pages are simply retired and
-// returned as-is.
+// same frame is handed back clean. On the realtime substrate every dirty
+// flush takes that synchronous branch: the store write is the whole
+// transfer, and write completions are sim-only. Clean pages are simply
+// retired and returned as-is.
 //
 // ok reports whether the flush succeeded. On failure the returned page is
 // the caller's own page back (still resident and dirty when its write-back
@@ -314,9 +316,13 @@ func (fm *FrameManager) FlushExchange(c *Container, p *mem.Page) (_ *mem.Page, o
 		}
 		return p, true
 	}
-	np := fm.Daemon.TakeOne()
+	var np *mem.Page
+	if fm.kernel.Clock.IsSim() {
+		np = fm.Daemon.TakeOne()
+	}
 	if np == nil {
-		// Fallback: synchronous flush, reuse the same frame.
+		// Synchronous flush (realtime, or no replacement frame on the
+		// sim): reuse the same frame.
 		fm.emit(kevent.Event{Type: kevent.EvFMFlushExchange, Container: int32(c.ID)})
 		if err := fm.kernel.VM.PageOutSync(p); err != nil {
 			// Write-back failed: the page stays resident and dirty.

@@ -9,6 +9,7 @@ import (
 	"hipec/internal/kevent"
 	"hipec/internal/mem"
 	"hipec/internal/pageout"
+	"hipec/internal/store"
 	"hipec/internal/substrate"
 	"hipec/internal/vm"
 )
@@ -20,6 +21,10 @@ type Config struct {
 	PageSize int // default 4096
 	KeepData bool
 
+	// VMCosts, ExecCosts and Disk are the sim's timing model: the 1994
+	// testbed's calibrated charges and the paging disk's service times.
+	// Zero values take the calibrated defaults. A realtime kernel charges
+	// none of them and builds no disk model; its time is measured.
 	VMCosts   vm.Costs
 	ExecCosts ExecCosts
 	Disk      disk.Params
@@ -28,15 +33,21 @@ type Config struct {
 	// Faults configures the deterministic fault-injection plane (chaos
 	// testing). The zero value (Seed 0) builds no plane: no code path
 	// consults it and behaviour is bit-for-bit the non-chaos baseline.
+	// On the sim the disk rule acts at the modeled disk; on the realtime
+	// substrate it acts at the store (store.InjectFaults).
 	Faults faultinj.Config
 	// Retry bounds the VM fault path's page-in retries; the zero value
-	// takes vm.DefaultRetry.
+	// takes vm.DefaultRetry. The backoff is sim-only: realtime retries
+	// keep the budget and do not sleep.
 	Retry vm.Retry
 
 	// BurstFraction sets partition_burst as a fraction of the free frames
 	// at startup (the paper uses 50%).
 	BurstFraction float64
 	// StartChecker launches the security-checker watchdog immediately.
+	// The watchdog runs on the sim's timer queue, so it is sim-only: New
+	// panics when it is set on the realtime substrate, where
+	// Executor.MaxSteps is the runaway-policy backstop.
 	StartChecker bool
 	// HiPECDisabled builds a vanilla Mach kernel: the per-fault region
 	// check is not charged and HiPEC activation calls fail. Used as the
@@ -52,9 +63,10 @@ type Config struct {
 	// Substrate selects the world the kernel runs in. The zero value is the
 	// deterministic simulation on an in-memory store — byte-identical to the
 	// pre-seam kernel. substrate.Config{Kind: substrate.KindReal} runs on
-	// wall-clock time: cost models default to zero (real time is measured,
-	// not modeled), frames carry real page payloads cut from one arena, and
-	// Substrate.Store (e.g. a filestore) supplies persistent backing.
+	// wall-clock time: no cost is charged, no timer armed and no disk model
+	// built (real time is measured, not modeled), frames carry real page
+	// payloads cut from one arena, and Substrate.Store (e.g. a filestore)
+	// supplies persistent backing.
 	Substrate substrate.Config
 }
 
@@ -104,30 +116,23 @@ func (k *Kernel) Stats() KernelStats {
 // emit sends an event down the kernel spine.
 func (k *Kernel) emit(e kevent.Event) { k.VM.Events.Emit(e) }
 
-// New builds a kernel.
+// New builds a kernel. It panics when cfg asks for a sim-only component
+// (StartChecker) on the realtime substrate.
 func New(cfg Config) *Kernel {
 	real := cfg.Substrate.Kind == substrate.KindReal
-	var clock substrate.Clock
+	clock := substrate.NewSimClock()
 	if real {
+		if cfg.StartChecker {
+			panic("core: StartChecker on the realtime substrate: the checker watchdog runs on timers, which are sim-only")
+		}
 		clock = substrate.NewRealClock()
-	} else {
-		clock = substrate.NewSimClock()
 	}
 	costs := cfg.VMCosts
-	if costs == (vm.Costs{}) && !real {
-		// Realtime keeps zero costs zero: real time is measured by the
-		// wall clock, not modeled by charges.
+	if costs == (vm.Costs{}) {
 		costs = vm.DefaultCosts()
 	}
 	if cfg.HiPECDisabled {
 		costs.RegionCheck = 0
-	}
-	dp := cfg.Disk
-	if real && dp == (disk.Params{}) {
-		// The timing model is vestigial on the realtime substrate (the
-		// store's actual I/O takes real time); keep the charge negligible
-		// while satisfying the positive-PerByte invariant.
-		dp = disk.Params{PerByte: 1}
 	}
 	inject := faultinj.New(cfg.Faults)
 	sys := vm.NewSystem(clock, vm.Config{
@@ -135,13 +140,17 @@ func New(cfg Config) *Kernel {
 		PageSize:     cfg.PageSize,
 		KeepData:     cfg.KeepData || real,
 		Costs:        costs,
-		Disk:         dp,
+		Disk:         cfg.Disk,
 		Retry:        cfg.Retry,
 		Inject:       inject,
 		Store:        cfg.Substrate.Store,
 		PayloadArena: real,
-		RawCosts:     real,
 	})
+	if real && inject != nil {
+		// No disk model to consult the plane: its disk rule acts at the
+		// store, on every real page transfer.
+		sys.Store = store.InjectFaults(sys.Store, inject)
+	}
 	for _, s := range cfg.Sinks {
 		sys.Events.Attach(s)
 	}
@@ -155,11 +164,7 @@ func New(cfg Config) *Kernel {
 		hipecDisabled: cfg.HiPECDisabled,
 	}
 	sys.OnFaultFailure = k.degradeFault
-	ec := cfg.ExecCosts
-	if ec == (ExecCosts{}) && !real {
-		ec = DefaultExecCosts()
-	}
-	k.Executor = newExecutor(k, ec)
+	k.Executor = newExecutor(k, cfg.ExecCosts)
 	k.FM = newFrameManager(k, daemon, cfg.BurstFraction)
 	k.Checker = newChecker(k)
 	if cfg.StartChecker && !cfg.HiPECDisabled {

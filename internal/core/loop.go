@@ -1,10 +1,6 @@
 package core
 
-import (
-	"errors"
-
-	"hipec/internal/substrate"
-)
+import "errors"
 
 // ErrLoopClosed is returned by Loop.Call after Close.
 var ErrLoopClosed = errors.New("core: kernel loop closed")
@@ -18,11 +14,9 @@ var ErrLoopClosed = errors.New("core: kernel loop closed")
 // shape as the sharded scale harness (bench.RunSharded), with the shard
 // count fixed at one and the workload arriving live instead of replayed.
 //
-// On the realtime substrate the loop also captures the clock's timer
-// callbacks (disk write completions, checker wakeups, pageout balancing):
-// it installs itself as the RealClock gate, so expirations are delivered
-// through the same mailbox and take their turn with commands instead of
-// touching the kernel from a timer goroutine.
+// The mailbox is the only way work reaches the kernel: a realtime kernel
+// arms no timers (they are sim-only), so nothing ever touches it from
+// another goroutine.
 type Loop struct {
 	k    *Kernel
 	mbox chan func()
@@ -37,18 +31,14 @@ type Loop struct {
 // instead of hiding latency in an unbounded queue.
 const DefaultMailboxDepth = 128
 
-// NewLoop starts the engine goroutine for k and, when k runs on the
-// realtime substrate, installs the timer-callback gate. The kernel must not
-// be touched directly (outside Call/Async closures) from then on.
+// NewLoop starts the engine goroutine for k. The kernel must not be touched
+// directly (outside Call/Async closures) from then on.
 func NewLoop(k *Kernel) *Loop {
 	l := &Loop{
 		k:    k,
 		mbox: make(chan func(), DefaultMailboxDepth),
 		done: make(chan struct{}),
 		sess: NewCacheSession(),
-	}
-	if rc, ok := k.Clock.Backend().(*substrate.RealClock); ok {
-		rc.SetGate(l.enqueue)
 	}
 	go l.run()
 	return l
@@ -63,24 +53,6 @@ func (l *Loop) run() {
 			return
 		}
 		fn()
-	}
-}
-
-// enqueue is the RealClock gate: deliver a timer expiration through the
-// mailbox. Expirations are NEVER run inline on the timer goroutine — while
-// the engine is draining toward Close's stop sentinel an inline callback
-// would race with the closures still being applied, and after the engine
-// has exited it would race with the closer, who owns the kernel again (and
-// may be tearing down the backing store). So once the engine is gone the
-// callback is deliberately dropped: a disk-completion or wakeup for a
-// kernel that is shutting down has no one left to serve. A callback that
-// lands in the mailbox behind the stop sentinel is dropped the same way
-// when the engine exits without draining it.
-func (l *Loop) enqueue(run func()) {
-	select {
-	case l.mbox <- run:
-	case <-l.done:
-		// Dropped: engine exited, kernel ownership has passed to the closer.
 	}
 }
 
@@ -133,16 +105,8 @@ func (l *Loop) Async(fn func(k *Kernel)) bool {
 
 // Close stops the engine goroutine after the commands already enqueued have
 // been applied and waits for it to exit. Idempotent; concurrent Calls that
-// lose the race return ErrLoopClosed.
-//
-// The timer gate stays installed: detaching it (before OR after the engine
-// exits) would let late wall-clock expirations run inline on Go timer
-// goroutines — racing with the drain while it is still in progress, or with
-// the closer tearing down the kernel and its store afterwards. Instead the
-// gate itself goes dead with the loop: once done is closed, enqueue drops
-// every callback deliberately (see enqueue). A kernel is not reusable for
-// ungated single-goroutine timer work after its loop closes; wrap it in a
-// new Loop instead, which installs a fresh gate.
+// lose the race return ErrLoopClosed. Once Close returns the kernel is the
+// closer's again.
 func (l *Loop) Close() {
 	select {
 	case <-l.done:

@@ -1,18 +1,20 @@
 package core
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
-	"time"
 
-	"hipec/internal/simtime"
+	"hipec/internal/disk/filestore"
 	"hipec/internal/substrate"
 	"hipec/internal/vm"
 )
 
 // realKernel builds a kernel on the realtime substrate (wall clock, payload
-// arena, zero cost models).
+// arena, no cost model).
 func realKernel(frames int) *Kernel {
 	return New(Config{
 		Frames:        frames,
@@ -78,47 +80,6 @@ func TestLoopSerializesConcurrentCallers(t *testing.T) {
 	}
 }
 
-// TestLoopGatesTimerCallbacks proves wall-clock timer expirations are
-// delivered through the mailbox: a callback scheduled on the RealClock
-// mutates engine-owned state that Calls are concurrently mutating — only
-// serialization through the loop keeps -race quiet, and the observed
-// ordering must show the callback ran on the engine goroutine.
-func TestLoopGatesTimerCallbacks(t *testing.T) {
-	k := realKernel(64)
-	l := NewLoop(k)
-	defer l.Close()
-
-	hits := 0 // engine-owned: touched only inside mailbox closures
-	fired := make(chan struct{})
-	if err := l.Call(func(k *Kernel) error {
-		k.Clock.After(time.Millisecond, func(simtime.Time) {
-			hits++
-			close(fired)
-		})
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		if err := l.Call(func(*Kernel) error { hits++; return nil }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	select {
-	case <-fired:
-	case <-time.After(5 * time.Second):
-		t.Fatal("gated timer callback never delivered")
-	}
-	if err := l.Call(func(*Kernel) error {
-		if hits != 101 {
-			t.Errorf("hits = %d, want 101", hits)
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestLoopCloseDrainsAndRejects: commands enqueued before Close run; calls
 // after Close report ErrLoopClosed; Close is idempotent.
 func TestLoopCloseDrainsAndRejects(t *testing.T) {
@@ -142,63 +103,8 @@ func TestLoopCloseDrainsAndRejects(t *testing.T) {
 	}
 }
 
-// TestLoopCloseNeverRunsTimerCallbacksInline is the shutdown-race
-// regression: timers armed before Close that expire around or after it must
-// either be applied by the engine goroutine or dropped — never run inline
-// on a Go timer goroutine, where they would race with the drain still in
-// progress or with the closer, who owns the kernel after Close. The
-// callbacks and the closer both mutate the same engine-owned state; under
-// -race an inline delivery is flagged immediately.
-func TestLoopCloseNeverRunsTimerCallbacksInline(t *testing.T) {
-	for iter := 0; iter < 50; iter++ {
-		k := realKernel(64)
-		l := NewLoop(k)
-		state := 0 // engine-owned until Close returns, then closer-owned
-		if err := l.Call(func(k *Kernel) error {
-			for i := 0; i < 8; i++ {
-				k.Clock.After(time.Duration(i)*50*time.Microsecond, func(simtime.Time) {
-					state++
-				})
-			}
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		l.Close()
-		// Ownership has passed to us; a late inline callback would race.
-		state++
-		_ = state
-	}
-}
-
-// TestLoopCloseKeepsGateInstalled: after Close the RealClock gate must not
-// revert to inline dispatch — late expirations are dropped by the dead
-// loop's gate instead of running on timer goroutines.
-func TestLoopCloseKeepsGateInstalled(t *testing.T) {
-	k := realKernel(64)
-	l := NewLoop(k)
-	rc := k.Clock.Backend().(*substrate.RealClock)
-	ran := make(chan struct{})
-	if err := l.Call(func(k *Kernel) error {
-		k.Clock.After(20*time.Millisecond, func(simtime.Time) { close(ran) })
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
-	select {
-	case <-ran:
-		t.Fatal("timer callback ran after Close")
-	case <-time.After(60 * time.Millisecond):
-	}
-	// The dropped callback's pending entry deliberately never clears.
-	if rc.Pending() == 0 {
-		t.Fatal("dropped callback vanished from Pending")
-	}
-}
-
 // TestLoopOnSimKernel: the loop is substrate-agnostic — a simulated kernel
-// can be driven through it too (there is just no gate to install).
+// can be driven through it too.
 func TestLoopOnSimKernel(t *testing.T) {
 	k := testKernel(64)
 	l := NewLoop(k)
@@ -222,4 +128,97 @@ func TestRealtimeKernelPayloads(t *testing.T) {
 	if k.Clock.IsSim() {
 		t.Fatal("realtime kernel got a sim clock")
 	}
+}
+
+// TestRealtimeKernelNeverSleeps pins the sim-only rule for time: a realtime
+// kernel driven through the loop over a file store charges no cost, arms no
+// timer and builds no disk model, so its clock never sleeps. HiPEC regions
+// 4x their FIFO pools and a default region 4x the daemon's frames take a
+// write round and then a verify round, so dirty flush-exchange evictions,
+// daemon page-outs and page-ins all run; every payload must round-trip and
+// every frame must be accounted for once the loop has closed. It also pins
+// that the timer-driven checker watchdog is refused on this substrate.
+func TestRealtimeKernelNeverSleeps(t *testing.T) {
+	var refused string
+	func() {
+		defer func() { refused = fmt.Sprint(recover()) }()
+		New(Config{Frames: 64, StartChecker: true, Substrate: substrate.Config{Kind: substrate.KindReal}})
+	}()
+	if !strings.Contains(refused, "sim-only") {
+		t.Fatalf("StartChecker on the realtime substrate: panic %q, want the sim-only refusal", refused)
+	}
+
+	st, err := filestore.OpenTemp(t.TempDir(), 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	const frames, pool = 64, 4
+	k := New(Config{
+		Frames:        frames,
+		PageSize:      4096,
+		BurstFraction: 0.5,
+		Substrate:     substrate.Config{Kind: substrate.KindReal, Store: st},
+	})
+	if k.VM.Disk != nil {
+		t.Fatal("realtime kernel built a disk model")
+	}
+	l := NewLoop(k)
+	defer l.Close()
+
+	type region struct {
+		id    RegionID
+		pages int
+	}
+	var regions []region
+	for _, r := range []struct {
+		pages int
+		opts  []RegionOption
+	}{
+		{4 * pool, []RegionOption{WithPolicySpec(simpleSpec(pool))}},
+		{4 * pool, []RegionOption{WithPolicySpec(simpleSpec(pool))}},
+		{4 * frames, nil}, // default region: the pageout daemon evicts
+	} {
+		id, err := l.Open(r.pages, r.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		regions = append(regions, region{id, r.pages})
+	}
+	stamp := func(r RegionID, page int) []byte {
+		return []byte(fmt.Sprintf("region %d page %d", r, page))
+	}
+	for _, r := range regions {
+		for pg := 0; pg < r.pages; pg++ {
+			if err := l.WritePage(r.id, pg, stamp(r.id, pg)); err != nil {
+				t.Fatalf("write region %d page %d: %v", r.id, pg, err)
+			}
+		}
+	}
+	buf := make([]byte, 64)
+	for _, r := range regions {
+		for pg := 0; pg < r.pages; pg++ {
+			want := stamp(r.id, pg)
+			n, err := l.ReadPage(r.id, pg, buf)
+			if err != nil {
+				t.Fatalf("read region %d page %d: %v", r.id, pg, err)
+			}
+			if !bytes.Equal(buf[:len(want)], want) || n < len(want) {
+				t.Fatalf("region %d page %d: read %q, want %q", r.id, pg, buf[:len(want)], want)
+			}
+		}
+	}
+	l.Close()
+
+	if fs, ds := k.FM.Stats(), k.Daemon.Stats(); fs.FlushExchanges == 0 || ds.Flushes == 0 {
+		t.Fatalf("workload exercised no dirty evictions: flush exchanges %d, daemon flushes %d",
+			fs.FlushExchanges, ds.Flushes)
+	}
+	if vs := k.VM.Stats(); vs.PageIns == 0 || vs.PageOuts == 0 {
+		t.Fatalf("workload moved no pages: %+v", vs)
+	}
+	if n := k.Clock.Backend().(*substrate.RealClock).Sleeps(); n != 0 {
+		t.Fatalf("realtime kernel slept %d times", n)
+	}
+	kernelConservation(t, k)
 }

@@ -277,19 +277,22 @@ var _ vm.Policy = (*ExtPagerPolicy)(nil)
 // RealPort is a live goroutine server for measuring an actual Go
 // channel-based RPC round trip, the closest modern analogue to a null IPC.
 type RealPort struct {
-	req  chan int
-	resp chan int
-	done chan struct{}
+	req    chan int
+	resp   chan int
+	done   chan struct{}
+	exited chan struct{} // closed when the echo goroutine has returned
 }
 
 // NewRealPort starts the echo server goroutine.
 func NewRealPort() *RealPort {
 	p := &RealPort{
-		req:  make(chan int),
-		resp: make(chan int),
-		done: make(chan struct{}),
+		req:    make(chan int),
+		resp:   make(chan int),
+		done:   make(chan struct{}),
+		exited: make(chan struct{}),
 	}
 	go func() {
+		defer close(p.exited)
 		for {
 			select {
 			case v := <-p.req:
@@ -308,5 +311,8 @@ func (p *RealPort) Call(v int) int {
 	return <-p.resp
 }
 
-// Close stops the server.
-func (p *RealPort) Close() { close(p.done) }
+// Close stops the server and returns only once its goroutine has exited.
+func (p *RealPort) Close() {
+	close(p.done)
+	<-p.exited
+}

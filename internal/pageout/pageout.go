@@ -56,6 +56,7 @@ type Daemon struct {
 
 	// BalanceCPUCost is charged to the clock per reclaimed frame,
 	// modelling the daemon's CPU time (small next to fault service).
+	// Sim-only: a daemon on the realtime substrate charges nothing.
 	BalanceCPUCost time.Duration
 }
 
@@ -163,7 +164,7 @@ func (d *Daemon) Balance() {
 		d.sys.Detach(p)
 		d.sys.Frames.Free(p)
 		d.events.Emit(kevent.Event{Type: kevent.EvDaemonReclaim, Arg: int64(p.Object), Aux: p.Offset})
-		if d.BalanceCPUCost > 0 {
+		if d.BalanceCPUCost > 0 && d.sys.Clock.IsSim() {
 			d.sys.Clock.Sleep(d.BalanceCPUCost)
 		}
 		d.refillInactive()
@@ -234,7 +235,7 @@ func (d *Daemon) ReturnFrame(p *mem.Page) {
 // StartPeriodic schedules the daemon to wake every interval of virtual time
 // and balance when the free pool is below target, mirroring the kernel
 // thread. It reschedules itself forever; intended for long-running
-// simulations.
+// simulations. Sim-only: the realtime clock arms no timers and panics.
 func (d *Daemon) StartPeriodic(interval time.Duration) {
 	var schedule func()
 	schedule = func() {

@@ -1,32 +1,22 @@
 package substrate
 
 import (
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"hipec/internal/simtime"
 )
 
-// RealClock is the wall-clock backend: Now is elapsed real time since
-// construction, Sleep genuinely sleeps, and After arms an OS timer. Unlike
-// the simulation there is no event queue to introspect — PeekNext reports
-// nothing pending and the executor's event-boundary batching degenerates to
-// a single charge, which is correct because nothing needs the clock to be
-// advanced for it: real timers fire on their own.
+// RealClock is the wall-clock backend. It reads time and never schedules:
+// the disk timing model, the calibrated cost charges, retry backoff and the
+// timer queue all belong to the simulation (DESIGN.md §12), so Clock's
+// After and At panic on it and its queue reads empty.
 //
-// Timer callbacks fire on the Go runtime's timer goroutines. A kernel is a
-// single-writer structure, so before sharing a realtime kernel with
-// concurrent callers a serialization gate must be installed with SetGate:
-// the actor loop (core.Loop) routes every callback through its mailbox,
-// making timer completions take their turn with commands. Without a gate,
-// callbacks run inline on the timer goroutine — fine for single-goroutine
-// use, unsafe under concurrency.
+// Sleep still genuinely sleeps (a test harness's Advance), and counts every
+// call with d > 0 so a realtime run can prove the engine never slept.
 type RealClock struct {
-	start time.Time
-
-	mu      sync.Mutex
-	gate    func(run func())
-	pending int
+	start  time.Time
+	sleeps atomic.Int64
 }
 
 // NewRealClock returns a wall-clock substrate clock positioned at time zero
@@ -34,141 +24,19 @@ type RealClock struct {
 // nanoseconds since boot).
 func NewRealClock() Clock { return Clock{impl: &RealClock{start: time.Now()}} }
 
-// SetGate installs the callback serialization gate: every timer callback is
-// handed to gate as a ready-to-run closure instead of running inline on the
-// timer goroutine. The actor loop installs its mailbox here. A nil gate
-// restores inline dispatch. A gate is allowed to drop a closure outright (a
-// closed actor loop does, deliberately — see core.Loop.Close); the dropped
-// timer's pending entry then never clears.
-func (c *RealClock) SetGate(gate func(run func())) {
-	c.mu.Lock()
-	c.gate = gate
-	c.mu.Unlock()
-}
-
 // Now implements Impl: wall nanoseconds since construction.
 func (c *RealClock) Now() simtime.Time { return simtime.Time(time.Since(c.start)) }
 
-// Sleep implements Impl: a genuine sleep.
+// Sleep implements Impl: a genuine sleep, counted when d > 0.
 func (c *RealClock) Sleep(d time.Duration) {
 	if d > 0 {
+		c.sleeps.Add(1)
 		time.Sleep(d)
 	}
 }
 
-// Advance implements Impl. Wall time advances on its own; Advance (the test
-// harness's "run the event queue" verb) is just a sleep long enough for the
-// timers in the window to have fired.
-func (c *RealClock) Advance(d time.Duration) { c.Sleep(d) }
-
-// realTimer is the Timer handle for one armed wall-clock timer.
-type realTimer struct {
-	when  simtime.Time
-	clock *RealClock
-	t     *time.Timer
-}
-
-// When implements Timer.
-func (rt *realTimer) When() simtime.Time { return rt.when }
-
-// After implements Impl: arm a wall-clock timer. The callback observes the
-// clock at its fire time and runs through the gate when one is installed.
-func (c *RealClock) After(d time.Duration, fn func(now simtime.Time)) Timer {
-	if d < 0 {
-		d = 0
-	}
-	rt := &realTimer{when: c.Now().Add(d), clock: c}
-	c.mu.Lock()
-	c.pending++
-	c.mu.Unlock()
-	rt.t = time.AfterFunc(d, func() { c.fire(fn) })
-	return rt
-}
-
-// At implements Impl.
-func (c *RealClock) At(t simtime.Time, fn func(now simtime.Time)) Timer {
-	return c.After(time.Duration(t.Sub(c.Now())), fn)
-}
-
-// fire runs one expired timer callback, through the gate when installed.
-// The pending count drops only once the callback has actually run, not when
-// the OS timer expires: a gated callback parked in an actor-loop mailbox is
-// still outstanding work, and Drain's wait-for-pending-zero must not report
-// quiescence while expirations sit queued undelivered. A gate that drops a
-// callback (an actor loop after Close) leaves it counted forever — Drain's
-// wait is deadline-bounded, so that cannot hang anyone.
-func (c *RealClock) fire(fn func(now simtime.Time)) {
-	c.mu.Lock()
-	gate := c.gate
-	c.mu.Unlock()
-	run := func() {
-		defer func() {
-			c.mu.Lock()
-			c.pending--
-			c.mu.Unlock()
-		}()
-		fn(c.Now())
-	}
-	if gate != nil {
-		gate(run)
-		return
-	}
-	run()
-}
-
-// Cancel implements Impl: stop the timer, reporting whether it was revoked
-// before firing.
-func (c *RealClock) Cancel(t Timer) bool {
-	rt, ok := t.(*realTimer)
-	if !ok || rt == nil || rt.clock != c {
-		return false
-	}
-	if rt.t.Stop() {
-		c.mu.Lock()
-		c.pending--
-		c.mu.Unlock()
-		return true
-	}
-	return false
-}
-
-// PeekNext implements Impl: wall-clock timers fire on their own, there is
-// no queue to step through, so nothing is ever "due" from the caller's
-// point of view.
-func (c *RealClock) PeekNext() (simtime.Time, bool) { return 0, false }
-
-// Pending implements Impl: timers whose callbacks have not yet completed —
-// armed, in flight, or parked behind the serialization gate.
-func (c *RealClock) Pending() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.pending
-}
-
-// RunUntil implements Impl: sleep until wall time t.
-func (c *RealClock) RunUntil(t simtime.Time) {
-	if d := time.Duration(t.Sub(c.Now())); d > 0 {
-		time.Sleep(d)
-	}
-}
-
-// RunNext implements Impl: timers cannot be fired early; report none run.
-func (c *RealClock) RunNext() bool { return false }
-
-// Drain implements Impl: timers cannot be fired early. Give briefly-due
-// timers a chance to land — a bounded wait for the pending count to reach
-// zero, which since pending only drops after a callback completes means
-// "all timer work settled", not merely "all OS timers expired" — then
-// report 0 fired by Drain itself. The limit parameter is meaningless on
-// this backend (Drain never fires anything) and is ignored. The wait can
-// time out without quiescence when a closed actor loop's gate has dropped
-// callbacks; their pending entries never clear.
-func (c *RealClock) Drain(limit int) int {
-	deadline := time.Now().Add(100 * time.Millisecond)
-	for c.Pending() > 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	return 0
-}
+// Sleeps reports how many Sleep calls with a positive duration the clock
+// has served. A realtime kernel's engine makes none.
+func (c *RealClock) Sleeps() int64 { return c.sleeps.Load() }
 
 var _ Impl = (*RealClock)(nil)

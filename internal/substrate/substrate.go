@@ -2,8 +2,9 @@
 // runs in. The engine — core, vm, pageout, disk, emm, machipc — depends on
 // the two small contracts defined here:
 //
-//   - Clock: the source of time and deferred callbacks. The engine charges
-//     costs with Sleep, schedules completions with After, and reads Now.
+//   - Clock: the source of time. The engine reads Now everywhere; on the
+//     simulation it also charges modeled costs with Sleep and schedules
+//     completions with After.
 //   - Store: page-granular backing storage addressed by PageKey.
 //
 // Two substrates implement the contracts:
@@ -12,9 +13,12 @@
 //     discrete-event virtual clock (internal/simtime) and an in-memory
 //     store. Time is modeled, not measured; two runs of the same workload
 //     are byte-identical.
-//   - The realtime substrate (NewRealClock, disk/filestore): wall-clock
-//     timers and a file-backed store whose I/O takes real time. Time is
-//     measured, not modeled; calibrated 1994 cost models default to zero.
+//   - The realtime substrate (NewRealClock, disk/filestore): a wall clock
+//     and a store whose I/O takes real time. Time is measured, not
+//     modeled. The rule: the disk timing model, the calibrated cost
+//     charges, retry backoff and the timer queue are sim-only, decided by
+//     each engine package from Clock.IsSim. The realtime clock reads time
+//     and never schedules; its After and At panic.
 //
 // Devirtualization: Clock is a two-word struct, not an interface. The sim
 // backend is a concrete *simtime.Clock field; every method tests it first
@@ -62,34 +66,25 @@ type Config struct {
 }
 
 // Timer is the handle returned by Clock.After/At; pass it to Clock.Cancel.
-// The sim backend returns its pooled *simtime.Event directly (no
-// allocation); handles must not be retained after the timer fires or is
-// cancelled.
+// Only the sim backend schedules: it returns its pooled *simtime.Event
+// directly (no allocation); handles must not be retained after the timer
+// fires or is cancelled.
 type Timer interface {
 	// When reports the timer's scheduled fire time.
 	When() simtime.Time
 }
 
-// Impl is the backend contract behind Clock for non-sim substrates. The
-// methods mirror *simtime.Clock so the engine's call sites are
-// backend-agnostic; see Clock for the semantics each must provide.
+// Impl is the backend contract behind Clock for non-sim substrates: a
+// clock that reads time and sleeps, and has no timer queue. Clock answers
+// every scheduling verb for such a backend itself — After and At panic,
+// and the queue reads empty — because timers are sim-only.
 type Impl interface {
 	Now() simtime.Time
 	Sleep(d time.Duration)
-	Advance(d time.Duration)
-	After(d time.Duration, fn func(now simtime.Time)) Timer
-	At(t simtime.Time, fn func(now simtime.Time)) Timer
-	Cancel(t Timer) bool
-	// PeekNext reports the earliest pending timer deadline. Backends
-	// without an inspectable queue (wall-clock timers fire on their own)
-	// return ok=false; the executor's event-boundary batching then
-	// degenerates to a single charge.
-	PeekNext() (simtime.Time, bool)
-	Pending() int
-	RunUntil(t simtime.Time)
-	RunNext() bool
-	Drain(limit int) int
 }
+
+// errNoTimers is the panic message of After and At on a non-sim clock.
+const errNoTimers = "substrate: the realtime clock never schedules; timers, disk completions and cost charges are sim-only"
 
 // Clock is the engine's source of time. It is a small value (two words):
 // copy it freely, compare it against the zero value with IsZero. The zero
@@ -107,10 +102,6 @@ func NewSimClock() Clock { return Clock{sim: simtime.NewClock()} }
 // build the simtime.Clock themselves (scheduler-selection experiments).
 func Sim(c *simtime.Clock) Clock { return Clock{sim: c} }
 
-// NewClock builds the clock for a backend Impl (the realtime substrate, or
-// a test double).
-func NewClock(impl Impl) Clock { return Clock{impl: impl} }
-
 // IsZero reports whether the clock has no backend (the unusable zero value).
 func (c Clock) IsZero() bool { return c.sim == nil && c.impl == nil }
 
@@ -118,7 +109,7 @@ func (c Clock) IsZero() bool { return c.sim == nil && c.impl == nil }
 func (c Clock) IsSim() bool { return c.sim != nil }
 
 // Backend returns the non-sim backend Impl, or nil for the sim substrate.
-// The actor loop uses it to install its callback gate on a RealClock.
+// Tests use it to read a RealClock's sleep count.
 func (c Clock) Backend() Impl { return c.impl }
 
 // Now reports the current time: virtual nanoseconds since clock creation
@@ -133,7 +124,8 @@ func (c Clock) Now() simtime.Time {
 }
 
 // Sleep charges a blocking delay: the sim clock advances (firing due
-// events), the real clock genuinely sleeps.
+// events), the real clock genuinely sleeps. Engine code charges only on the
+// sim; a realtime kernel never sleeps.
 //
 //hipec:hotpath
 func (c Clock) Sleep(d time.Duration) {
@@ -152,29 +144,30 @@ func (c Clock) Advance(d time.Duration) {
 		c.sim.Advance(d)
 		return
 	}
-	c.impl.Advance(d)
+	c.impl.Sleep(d)
 }
 
 // After schedules fn to run d from now; fn observes the clock at its fire
-// time. Sim: a deterministic event. Real: a wall-clock timer, routed
-// through the actor loop's gate when one is installed.
+// time. Sim: a deterministic event. Timers are sim-only: the realtime
+// clock panics.
 func (c Clock) After(d time.Duration, fn func(now simtime.Time)) Timer {
 	if c.sim != nil {
 		return c.sim.After(d, fn)
 	}
-	return c.impl.After(d, fn)
+	panic(errNoTimers)
 }
 
-// At schedules fn at absolute time t (>= Now).
+// At schedules fn at absolute time t (>= Now). Sim-only, like After.
 func (c Clock) At(t simtime.Time, fn func(now simtime.Time)) Timer {
 	if c.sim != nil {
 		return c.sim.At(t, fn)
 	}
-	return c.impl.At(t, fn)
+	panic(errNoTimers)
 }
 
 // Cancel revokes a Timer returned by After/At, reporting whether it was
-// still pending. A nil Timer is a no-op.
+// still pending. A nil Timer is a no-op, and so is every Cancel on the
+// realtime clock, where no timer can be pending.
 func (c Clock) Cancel(t Timer) bool {
 	if c.sim != nil {
 		if t == nil {
@@ -182,28 +175,28 @@ func (c Clock) Cancel(t Timer) bool {
 		}
 		return c.sim.Cancel(t.(*simtime.Event))
 	}
-	return c.impl.Cancel(t)
+	return false
 }
 
 // PeekNext reports the earliest pending timer deadline without firing it.
-// The executor's batched charging uses it to stop at event boundaries; a
-// backend that cannot peek (realtime) reports ok=false and batching
-// degenerates safely.
+// The executor's batched charging uses it to stop at event boundaries; the
+// realtime clock has no queue and reports ok=false.
 //
 //hipec:hotpath
 func (c Clock) PeekNext() (simtime.Time, bool) {
 	if c.sim != nil {
 		return c.sim.PeekNext()
 	}
-	return c.impl.PeekNext()
+	return 0, false
 }
 
-// Pending reports the number of scheduled, unfired timers.
+// Pending reports the number of scheduled, unfired timers (always 0 on the
+// realtime clock).
 func (c Clock) Pending() int {
 	if c.sim != nil {
 		return c.sim.Pending()
 	}
-	return c.impl.Pending()
+	return 0
 }
 
 // RunUntil advances to time t, firing due events (sim) or sleeping until
@@ -213,24 +206,24 @@ func (c Clock) RunUntil(t simtime.Time) {
 		c.sim.RunUntil(t)
 		return
 	}
-	c.impl.RunUntil(t)
+	c.impl.Sleep(time.Duration(t.Sub(c.impl.Now())))
 }
 
 // RunNext fires the single earliest pending event, advancing time to it.
-// Realtime timers fire on their own; the real backend reports false.
+// The realtime clock has no events and reports false.
 func (c Clock) RunNext() bool {
 	if c.sim != nil {
 		return c.sim.RunNext()
 	}
-	return c.impl.RunNext()
+	return false
 }
 
 // Drain fires pending events until the queue is empty or limit is reached
-// (0 = unlimited), returning the number fired. The real backend waits for
-// its outstanding timers instead of firing them early and reports 0.
+// (0 = unlimited), returning the number fired. The realtime clock has no
+// events and reports 0.
 func (c Clock) Drain(limit int) int {
 	if c.sim != nil {
 		return c.sim.Drain(limit)
 	}
-	return c.impl.Drain(limit)
+	return 0
 }

@@ -1,7 +1,7 @@
 package substrate
 
 import (
-	"sync"
+	"strings"
 	"testing"
 	"time"
 
@@ -72,93 +72,26 @@ func TestRealClockNowAdvances(t *testing.T) {
 	}
 }
 
-func TestRealClockAfterFires(t *testing.T) {
+// TestRealClockCountsSleeps: every positive Sleep is counted; zero and
+// negative ones are not.
+func TestRealClockCountsSleeps(t *testing.T) {
 	c := NewRealClock()
-	done := make(chan simtime.Time, 1)
-	tm := c.After(time.Millisecond, func(now simtime.Time) { done <- now })
-	if tm.When() <= 0 {
-		t.Fatalf("When() = %v", tm.When())
+	rc := c.Backend().(*RealClock)
+	c.Sleep(0)
+	c.Sleep(-time.Millisecond)
+	if got := rc.Sleeps(); got != 0 {
+		t.Fatalf("Sleeps after non-positive sleeps = %d, want 0", got)
 	}
-	select {
-	case now := <-done:
-		if now < simtime.Time(time.Millisecond) {
-			t.Fatalf("fired at %v, before its deadline", now)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("timer never fired")
+	c.Sleep(time.Microsecond)
+	c.Advance(time.Microsecond)
+	if got := rc.Sleeps(); got != 2 {
+		t.Fatalf("Sleeps = %d, want 2", got)
 	}
 }
 
-func TestRealClockCancel(t *testing.T) {
-	c := NewRealClock()
-	fired := make(chan struct{})
-	tm := c.After(time.Hour, func(simtime.Time) { close(fired) })
-	if c.Pending() != 1 {
-		t.Fatalf("Pending = %d", c.Pending())
-	}
-	if !c.Cancel(tm) {
-		t.Fatal("Cancel reported not pending")
-	}
-	if c.Pending() != 0 {
-		t.Fatalf("Pending after cancel = %d", c.Pending())
-	}
-	if c.Cancel(tm) {
-		t.Fatal("double Cancel reported pending")
-	}
-	select {
-	case <-fired:
-		t.Fatal("cancelled timer fired")
-	case <-time.After(10 * time.Millisecond):
-	}
-}
-
-// TestRealClockGate: with a gate installed, callbacks are delivered to the
-// gate instead of running on the timer goroutine.
-func TestRealClockGate(t *testing.T) {
-	raw := &RealClock{start: time.Now()}
-	c := NewClock(raw)
-	var mu sync.Mutex
-	var gated []func()
-	raw.SetGate(func(run func()) {
-		mu.Lock()
-		gated = append(gated, run)
-		mu.Unlock()
-	})
-	ran := false
-	c.After(time.Millisecond, func(simtime.Time) { ran = true })
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		mu.Lock()
-		n := len(gated)
-		mu.Unlock()
-		if n > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("gate never received the callback")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if ran {
-		t.Fatal("callback ran before the gate released it")
-	}
-	// The expired-but-undelivered callback is still outstanding work: it
-	// must stay in Pending until the gate actually runs it, so a
-	// Drain-style wait for quiescence cannot return early.
-	if got := raw.Pending(); got != 1 {
-		t.Fatalf("Pending while parked in gate = %d, want 1", got)
-	}
-	gated[0]()
-	if !ran {
-		t.Fatal("gated callback did not run when released")
-	}
-	if got := raw.Pending(); got != 0 {
-		t.Fatalf("Pending after delivery = %d, want 0", got)
-	}
-}
-
-// TestRealClockNoQueueSemantics: the introspection verbs degrade as
-// documented — nothing peekable, nothing runnable early.
+// TestRealClockNoQueueSemantics: the realtime clock reads time and never
+// schedules — nothing peekable, pending or runnable, and arming a timer
+// panics with the sim-only rule.
 func TestRealClockNoQueueSemantics(t *testing.T) {
 	c := NewRealClock()
 	if _, ok := c.PeekNext(); ok {
@@ -167,15 +100,25 @@ func TestRealClockNoQueueSemantics(t *testing.T) {
 	if c.RunNext() {
 		t.Fatal("RunNext fired something")
 	}
-	done := make(chan struct{})
-	c.After(time.Millisecond, func(simtime.Time) { close(done) })
 	if n := c.Drain(0); n != 0 {
 		t.Fatalf("Drain fired %d", n)
 	}
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("timer lost")
+	if c.Pending() != 0 || c.Cancel(nil) {
+		t.Fatal("realtime clock reports a pending timer")
+	}
+	for name, arm := range map[string]func(){
+		"After": func() { c.After(time.Millisecond, func(simtime.Time) {}) },
+		"At":    func() { c.At(c.Now().Add(time.Millisecond), func(simtime.Time) {}) },
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "sim-only") {
+					t.Errorf("%s: panic %q, want the sim-only rule", name, msg)
+				}
+			}()
+			arm()
+		}()
 	}
 }
 

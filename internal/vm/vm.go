@@ -28,7 +28,8 @@ import (
 )
 
 // Costs are the calibrated CPU costs charged to the virtual clock by the VM
-// layer. Defaults reproduce the paper's testbed (see DESIGN.md §4).
+// layer. Defaults reproduce the paper's testbed (see DESIGN.md §4). They are
+// sim-only: a System on the realtime substrate charges none.
 type Costs struct {
 	// FaultService is the base cost of the kernel fault path exclusive of
 	// disk I/O and policy execution. Calibrated from Table 3:
@@ -133,7 +134,8 @@ type FaultAborter interface {
 
 // Retry configures the fault path's bounded retry-with-backoff for transient
 // page-in failures (disk I/O errors, pager loss). Backoff is charged to the
-// virtual clock and doubles per attempt.
+// virtual clock and doubles per attempt; it is sim-only, so realtime retries
+// follow each other at once within the same budget.
 type Retry struct {
 	Budget  int           // total page-in attempts per fault (including the first)
 	Backoff time.Duration // initial backoff before the first retry
@@ -306,9 +308,11 @@ func (sp *AddressSpace) Stats() Stats {
 type System struct {
 	Clock  substrate.Clock
 	Frames *mem.FrameTable
-	Disk   *disk.Disk
-	Store  substrate.Store
-	Costs  Costs
+	// Disk is the paging device's timing model; nil on the realtime
+	// substrate, where the Store is the disk.
+	Disk  *disk.Disk
+	Store substrate.Store
+	Costs Costs
 	// Events is the kernel event spine; every layer of the simulated
 	// kernel (fault path, pageout daemon, disk, HiPEC core) emits through
 	// it, and its Registry is the single source of truth for counters.
@@ -382,12 +386,16 @@ type Config struct {
 	Frames   int  // number of physical page frames
 	PageSize int  // bytes per page
 	KeepData bool // allocate and track page contents
-	Costs    Costs
-	Disk     disk.Params
+	// Costs and Disk are the sim's timing model; the zero values take
+	// DefaultCosts and disk.DefaultParams. A realtime System ignores both.
+	Costs Costs
+	Disk  disk.Params
 	// Retry bounds page-in retries; the zero value takes DefaultRetry.
+	// A realtime System keeps the budget and drops the backoff.
 	Retry Retry
 	// Inject, when non-nil, attaches the fault-injection plane to the
-	// paging device (pager-side injection is configured on the pagers).
+	// simulated paging device (pager-side injection is configured on the
+	// pagers; a realtime kernel wraps its store instead).
 	Inject *faultinj.Plane
 	// Store overrides the backing store (nil = the in-memory MemStore).
 	// The realtime substrate passes a file-backed store here.
@@ -396,14 +404,12 @@ type Config struct {
 	// from one contiguous arena (implies KeepData). The realtime substrate
 	// sets it so cached pages hold actual bytes.
 	PayloadArena bool
-
-	// RawCosts keeps a zero Costs value as-is instead of substituting the
-	// calibrated 1994 defaults. The realtime substrate sets it: real time
-	// is measured by the clock, not modeled by charges.
-	RawCosts bool
 }
 
-// NewSystem builds the VM substrate on the given clock.
+// NewSystem builds the VM substrate on the given clock. On the simulation
+// it builds the paging device's timing model and charges calibrated costs;
+// on the realtime substrate it builds neither, and page transfers are
+// exactly the store's I/O.
 func NewSystem(clock substrate.Clock, cfg Config) *System {
 	if clock.IsZero() {
 		panic("vm: zero substrate clock")
@@ -417,18 +423,24 @@ func NewSystem(clock substrate.Clock, cfg Config) *System {
 	if cfg.Frames <= 0 {
 		panic("vm: config needs a positive frame count")
 	}
-	if cfg.Costs == (Costs{}) && !cfg.RawCosts {
-		cfg.Costs = DefaultCosts()
-	}
-	if cfg.Disk == (disk.Params{}) {
-		cfg.Disk = disk.DefaultParams()
-	}
 	if cfg.Retry == (Retry{}) {
 		cfg.Retry = DefaultRetry()
 	}
 	events := kevent.NewEmitter(clock)
-	d := disk.New(clock, cfg.Disk, events)
-	d.SetInjector(cfg.Inject)
+	var d *disk.Disk
+	if clock.IsSim() {
+		if cfg.Costs == (Costs{}) {
+			cfg.Costs = DefaultCosts()
+		}
+		if cfg.Disk == (disk.Params{}) {
+			cfg.Disk = disk.DefaultParams()
+		}
+		d = disk.New(clock, cfg.Disk, events)
+		d.SetInjector(cfg.Inject)
+	} else {
+		cfg.Costs = Costs{}
+		cfg.Retry.Backoff = 0
+	}
 	frames := mem.NewFrameTable(cfg.Frames, cfg.PageSize, cfg.KeepData)
 	if cfg.PayloadArena {
 		frames = mem.NewFrameTableArena(cfg.Frames, cfg.PageSize)
@@ -679,7 +691,8 @@ func (sp *AddressSpace) fault(e *MapEntry, off, addr int64, write bool) (*mem.Pa
 
 // pageIn fills p with the contents for (object, off) — from the external
 // pager, the backing store, or by zero fill — retrying transient failures
-// with doubling virtual-time backoff within the object's retry budget.
+// within the object's retry budget, with doubling virtual-time backoff on
+// the sim.
 func (sp *AddressSpace) pageIn(e *MapEntry, off, addr int64, p *mem.Page) error {
 	s := sp.sys
 	budget := e.Object.RetryBudget
@@ -730,9 +743,12 @@ func (sp *AddressSpace) pageInOnce(e *MapEntry, off, addr int64, p *mem.Page) er
 	// only applies to never-written pages.
 	key := disk.StoreKey{Object: e.Object.ID, Offset: off}
 	if s.Store.Contains(key) {
-		// Page-in from backing store: synchronous disk read.
-		if _, derr := s.Disk.Read(s.diskAddr(e.Object, off), s.PageSize()); derr != nil {
-			return &hiperr.Error{Op: "vm.pagein", Space: sp.ID, Err: fmt.Errorf("at %#x: %w", addr, derr)}
+		// Page-in from backing store: on the sim, a synchronous modeled
+		// disk read first.
+		if s.Disk != nil {
+			if _, derr := s.Disk.Read(s.diskAddr(e.Object, off), s.PageSize()); derr != nil {
+				return &hiperr.Error{Op: "vm.pagein", Space: sp.ID, Err: fmt.Errorf("at %#x: %w", addr, derr)}
+			}
 		}
 		// A real store (file-backed) can fail the transfer itself; feed the
 		// error into the same retry ladder as a modeled device error.
@@ -777,15 +793,18 @@ func (s *System) diskAddr(o *Object, off int64) int64 {
 	return int64((block * 0x9E3779B97F4A7C15) >> 20)
 }
 
-// PageOut writes the page's contents to the backing store asynchronously
-// and clears its Modified bit. done may be nil. Pages of externally-paged
-// objects are returned to their pager (memory_object_data_return) instead;
-// a pager write-back failure keeps the page dirty (its contents are the only
-// copy) and returns an error — the caller decides whether to keep the page
-// resident or retry. The kernel store path has the same contract: on the
-// simulation substrate the in-memory store write cannot fail (the disk
-// write models timing only), while a realtime store's genuine I/O failure
-// (ENOSPC, EIO) keeps the page dirty and surfaces as a typed error.
+// PageOut writes the page's contents to the backing store and clears its
+// Modified bit. On the sim the modeled disk write completes later and done
+// (may be nil) fires then. Completions are sim-only: on the realtime
+// substrate the write is complete when PageOut returns, and done must be
+// nil. Pages of externally-paged objects are returned to their pager
+// (memory_object_data_return) instead; a pager write-back failure keeps the
+// page dirty (its contents are the only copy) and returns an error — the
+// caller decides whether to keep the page resident or retry. The kernel
+// store path has the same contract: on the simulation substrate the
+// in-memory store write cannot fail (the disk write models timing only),
+// while a realtime store's genuine I/O failure (ENOSPC, EIO) keeps the page
+// dirty and surfaces as a typed error.
 func (s *System) PageOut(p *mem.Page, done func(simtime.Time)) error {
 	o := s.Object(p.Object)
 	s.Events.Emit(kevent.Event{Type: kevent.EvPageOut, Arg: int64(p.Object), Aux: p.Offset})
@@ -806,14 +825,18 @@ func (s *System) PageOut(p *mem.Page, done func(simtime.Time)) error {
 		s.Events.Emit(kevent.Event{Type: kevent.EvPageOutError, Arg: int64(p.Object), Aux: p.Offset})
 		return &hiperr.Error{Op: "vm.pageout", Err: err}
 	}
-	s.Disk.Write(s.diskAddr(o, p.Offset), s.PageSize(), done)
+	if s.Disk != nil {
+		s.Disk.Write(s.diskAddr(o, p.Offset), s.PageSize(), done)
+	} else if done != nil {
+		panic("vm: PageOut completion callbacks are sim-only")
+	}
 	p.Modified = false
 	return nil
 }
 
-// PageOutSync writes the page synchronously (clock advances by the service
-// time). Used by policies that must wait for the write. Error semantics
-// match PageOut.
+// PageOutSync writes the page synchronously (on the sim the clock advances
+// by the modeled service time). Used by policies that must wait for the
+// write. Error semantics match PageOut.
 func (s *System) PageOutSync(p *mem.Page) error {
 	o := s.Object(p.Object)
 	s.Events.Emit(kevent.Event{Type: kevent.EvPageOut, Arg: int64(p.Object), Aux: p.Offset, Flag: true})
@@ -831,10 +854,13 @@ func (s *System) PageOutSync(p *mem.Page) error {
 		s.Events.Emit(kevent.Event{Type: kevent.EvPageOutError, Arg: int64(p.Object), Aux: p.Offset})
 		return &hiperr.Error{Op: "vm.pageout", Err: err}
 	}
-	// Model as a read-shaped synchronous access (same service time). The
-	// store write above already made the contents durable, so an injected
-	// read error here would not lose data; the timing model ignores it.
-	s.Disk.Read(s.diskAddr(o, p.Offset), s.PageSize()) //nolint:errcheck // timing-only access, data already durable in store
+	if s.Disk != nil {
+		// Model as a read-shaped synchronous access (same service time).
+		// The store write above already made the contents durable, so an
+		// injected read error here would not lose data; the timing model
+		// ignores it.
+		s.Disk.Read(s.diskAddr(o, p.Offset), s.PageSize()) //nolint:errcheck // timing-only access, data already durable in store
+	}
 	p.Modified = false
 	return nil
 }
