@@ -66,8 +66,6 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Print(res.Report(*cfg, "in-process"))
-	if io, ok := store.(hipec.StoreIOStats); ok {
-		reads, writes := io.StoreIO()
-		fmt.Printf("  store I/O: %d reads, %d writes\n", reads, writes)
-	}
+	reads, writes := store.StoreIO()
+	fmt.Printf("  store I/O: %d reads, %d writes\n", reads, writes)
 }

@@ -192,12 +192,13 @@ type (
 	SubstrateConfig = substrate.Config
 	// SubstrateKind names a substrate backend family.
 	SubstrateKind = substrate.Kind
-	// Store is page-granular backing storage; the realtime substrate
-	// accepts a file-backed implementation via SubstrateConfig.Store.
+	// Store is page-granular backing storage — transfers, deletion, Sync,
+	// I/O counters and Close, implemented in full by every backend; the
+	// realtime substrate accepts one via SubstrateConfig.Store.
 	Store = substrate.Store
-	// StoreDeleter is the optional per-key reclamation surface of a Store.
-	StoreDeleter = substrate.Deleter
-	// FileStore is the realtime substrate's file-backed page store.
+	// FileStore is the realtime substrate's slot-file page store, moving
+	// pages with pread/pwrite or, opened mapped, through an mmap of the
+	// file (degrading to pread/pwrite where mmap is unavailable).
 	FileStore = filestore.Store
 	// TieredStore layers a fast store over a slow one: write-through or
 	// write-back, promotion on read, FIFO eviction at the fast-tier cap.
@@ -207,16 +208,9 @@ type (
 	// ShardedStore fans pages out across N child stores by a deterministic
 	// hash of the page key.
 	ShardedStore = store.Sharded
-	// MmapStore is an mmap-backed page store with explicit Sync, degrading
-	// to filestore semantics where mmap is unavailable.
-	MmapStore = store.Mmap
-	// StoreBackend is a Store opened by kind (OpenStore) that also closes
-	// and names itself — what the CLI surfaces hand around.
+	// StoreBackend is a Store opened by kind (OpenStore) that also names
+	// itself — what the CLI surfaces hand around.
 	StoreBackend = store.Backend
-	// StoreIOStats is the optional transfer-counter surface of a Store.
-	StoreIOStats = store.IOStats
-	// StoreSyncer is the optional explicit-durability surface of a Store.
-	StoreSyncer = store.Syncer
 	// Loop is the actor-style serialized command loop that makes a
 	// (typically realtime) kernel safe for concurrent callers. Its typed
 	// methods satisfy Client; Call/Async additionally accept closures for
@@ -252,11 +246,12 @@ var (
 	NewTieredStore = store.NewTiered
 	// NewShardedStore fans out across the child stores.
 	NewShardedStore = store.NewSharded
-	// NewMmapStore opens (truncating) an mmap-backed page store.
-	NewMmapStore = store.OpenMmap
-	// NewTempMmapStore opens an mmap-backed page store on a fresh temp
-	// file that Close removes.
-	NewTempMmapStore = store.OpenMmapTemp
+	// NewMmapStore opens (truncating) a file-backed page store in its
+	// mapped I/O mode.
+	NewMmapStore = filestore.OpenMapped
+	// NewTempMmapStore opens a mapped file-backed page store on a fresh
+	// temp file that Close removes.
+	NewTempMmapStore = filestore.OpenTempMapped
 	// OpenStore opens a backend by kind name — "file", "mem", "tiered",
 	// "sharded" or "mmap" — the same selector the CLI -store flags take.
 	OpenStore = store.Open

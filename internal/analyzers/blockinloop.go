@@ -43,7 +43,10 @@ var osPkgFuncs = map[string]bool{
 // closure is flagged even when the particular backend is memory-backed:
 // the seam contract says loop code reaches storage only through the
 // substrate.Store interface, dispatched on whatever the kernel was built
-// with.
+// with. Only methods declared in the filestore and store packages match:
+// DeletePage, Sync and Close reached through substrate.Store (or through
+// store.Backend, which embeds it) are substrate's interface methods, the
+// seam where the chain deliberately breaks.
 var storeIOMethods = map[string]bool{
 	"WritePage": true, "ReadPage": true, "DeletePage": true,
 	"Sync": true, "Close": true,

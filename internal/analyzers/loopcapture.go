@@ -28,7 +28,6 @@ var guardedTypes = map[string]string{
 	"hipec/internal/disk/filestore.Store": "*filestore.Store",
 	"hipec/internal/store.Tiered":         "*store.Tiered",
 	"hipec/internal/store.Sharded":        "*store.Sharded",
-	"hipec/internal/store.Mmap":           "*store.Mmap",
 }
 
 // guardName reports the display name of a guarded type, or "" when t is not

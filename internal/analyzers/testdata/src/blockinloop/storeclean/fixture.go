@@ -29,7 +29,9 @@ func run(l *core.Loop, st substrate.Store) error {
 		if err := st.WritePage(substrate.PageKey{Object: 1}, nil); err != nil {
 			return err
 		}
-		_, _, err := st.ReadPage(substrate.PageKey{Object: 1})
-		return err
+		if _, _, err := st.ReadPage(substrate.PageKey{Object: 1}); err != nil {
+			return err
+		}
+		return st.Sync() // Sync is part of the interface seam too
 	})
 }

@@ -15,13 +15,16 @@ import (
 	"hipec/internal/substrate"
 )
 
-// run drives concrete store I/O from the engine goroutine three ways.
-func run(l *core.Loop, fs *filestore.Store, tr *store.Tiered, mm *store.Mmap) error {
+// run drives concrete store I/O from the engine goroutine four ways.
+func run(l *core.Loop, fs *filestore.Store, tr *store.Tiered, sh *store.Sharded) error {
 	return l.Call(func(k *core.Kernel) error {
 		if err := fs.WritePage(substrate.PageKey{Object: 1}, nil); err != nil { // want `blockinloop: blocking call reachable from a Loop command closure .* \(filestore\.Store\)\.WritePage`
 			return err
 		}
-		if _, _, err := mm.ReadPage(substrate.PageKey{Object: 1}); err != nil { // want `blockinloop: blocking call reachable from a Loop command closure .* \(store\.Mmap\)\.ReadPage`
+		if err := fs.Sync(); err != nil { // want `blockinloop: blocking call reachable from a Loop command closure .* \(filestore\.Store\)\.Sync`
+			return err
+		}
+		if _, _, err := sh.ReadPage(substrate.PageKey{Object: 1}); err != nil { // want `blockinloop: blocking call reachable from a Loop command closure .* \(store\.Sharded\)\.ReadPage`
 			return err
 		}
 		return flush(tr) // want `blockinloop: blocking call reachable from a Loop command closure .*flush -> \(store\.Tiered\)\.Sync`

@@ -16,17 +16,17 @@ import (
 var leakedStore *filestore.Store
 
 // run leaks store handles four ways.
-func run(l *core.Loop, fs *filestore.Store, tr *store.Tiered, sink chan *store.Mmap, mm *store.Mmap) error {
+func run(l *core.Loop, fs *filestore.Store, tr *store.Tiered, sink chan *store.Sharded, sh *store.Sharded) error {
 	var outer *store.Tiered
 	err := l.Call(func(k *core.Kernel) error {
-		go prefetch(mm)  // want `loopcapture: \*store\.Mmap "mm" escapes into a goroutine`
+		go prefetch(sh)  // want `loopcapture: \*store\.Sharded "sh" escapes into a goroutine`
 		leakedStore = fs // want `loopcapture: \*filestore\.Store stored in package-level variable "leakedStore"`
 		outer = tr       // want `loopcapture: \*store\.Tiered stored in "outer", which outlives the Loop closure`
-		sink <- mm       // want `loopcapture: \*store\.Mmap sent on a channel from inside a Loop closure`
+		sink <- sh       // want `loopcapture: \*store\.Sharded sent on a channel from inside a Loop closure`
 		return nil
 	})
 	_ = outer
 	return err
 }
 
-func prefetch(m *store.Mmap) { _ = m }
+func prefetch(s *store.Sharded) { _ = s }

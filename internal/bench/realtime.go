@@ -177,9 +177,7 @@ func RunRealtime(cfg RealtimeConfig) (RealtimeResult, error) {
 		res.VM = k.VM.Stats()
 		return nil
 	})
-	if io, ok := st.(store.IOStats); ok {
-		res.StoreReads, res.StoreWrites = io.StoreIO()
-	}
+	res.StoreReads, res.StoreWrites = st.StoreIO()
 	res.StorePages = st.Len()
 	res.Verified = verified
 	return res, err

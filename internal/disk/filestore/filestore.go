@@ -11,12 +11,23 @@
 // returns a buffer reused per store; callers copy into frames immediately,
 // which is exactly what the VM page-in path does.
 //
+// The slot file has two I/O modes. Open and OpenTemp move pages with
+// pread/pwrite. OpenMapped and OpenTempMapped memory-map the file instead:
+// page writes are copies into the mapping, the mapping grows by doubling
+// (ftruncate + remap), and durability is explicit — Sync flushes, and the
+// kernel's page cache owns the bytes in between. Where mmap is unavailable
+// (platform or filesystem) a mapped store runs pread/pwrite from the start,
+// and one whose filesystem stops cooperating mid-run drops to pread/pwrite
+// for the rest of its life; either way the slot table is the same, so no
+// page is lost. Mapped reports which mode is live.
+//
 // The store itself is not safe for concurrent use; in realtime mode every
 // access is serialized by the kernel's actor loop (core.Loop), the same
 // single-writer discipline the simulated kernel gets from its one clock.
 package filestore
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -30,69 +41,127 @@ type Store struct {
 	f        *os.File
 	path     string
 	pageSize int
+	temp     bool // backing file is removed on Close
+
+	data     []byte // the live mapping; nil means pread/pwrite
+	capPages int64  // mapped capacity in pages, while data is live
+
 	slots    map[substrate.PageKey]int64 // key -> slot index
 	free     []int64                     // slots released by DeletePage, reused first
 	nextSlot int64
 	readBuf  []byte
 	writeBuf []byte // scratch for padding partial writes; never aliased to readBuf
 	zeroBuf  []byte
-	temp     bool // backing file is removed on Close
 
-	// Reads/Writes count page transfers that actually hit the file.
-	Reads  int64
-	Writes int64
+	// reads/writes count page transfers in and out of the file (or its
+	// mapping).
+	reads, writes int64
 }
 
-// Open creates (or truncates) a backing file for pages of pageSize bytes.
-// The parent directory must exist.
-func Open(path string, pageSize int) (*Store, error) {
+// mappedInitialPages is a mapped store's initial capacity.
+const mappedInitialPages = 64
+
+// errMapUnsupported marks a platform or filesystem that cannot mmap; a
+// mapped store falls back to pread/pwrite rather than failing.
+var errMapUnsupported = errors.New("filestore: mmap unavailable")
+
+// Open creates (or truncates) a backing file for pages of pageSize bytes,
+// moved with pread/pwrite. The parent directory must exist.
+func Open(path string, pageSize int) (*Store, error) { return open(path, false, false, pageSize) }
+
+// OpenTemp creates a store backed by a fresh file in dir (or the OS temp
+// directory when dir is empty). Close removes it.
+func OpenTemp(dir string, pageSize int) (*Store, error) { return open(dir, true, false, pageSize) }
+
+// OpenMapped is Open with the backing file memory-mapped.
+func OpenMapped(path string, pageSize int) (*Store, error) { return open(path, false, true, pageSize) }
+
+// OpenTempMapped is OpenTemp with the backing file memory-mapped.
+func OpenTempMapped(dir string, pageSize int) (*Store, error) {
+	return open(dir, true, true, pageSize)
+}
+
+// open creates the backing file — at path, or when temp a fresh file in
+// the directory path names — and maps it when mapped.
+func open(path string, temp, mapped bool, pageSize int) (*Store, error) {
 	if pageSize <= 0 {
 		return nil, &hiperr.Error{Op: "filestore.open",
 			Err: fmt.Errorf("non-positive page size %d: %w", pageSize, hiperr.ErrPolicyFault)}
 	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, &hiperr.Error{Op: "filestore.open", Err: fmt.Errorf("%s: %w", path, hiperr.ErrDiskIO)}
+	var f *os.File
+	var err error
+	if temp {
+		f, err = os.CreateTemp(path, "hipec-pages-*.dat")
+	} else {
+		f, err = os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	}
-	return &Store{
+	if err != nil {
+		// The *PathError names the file and the OS cause.
+		return nil, &hiperr.Error{Op: "filestore.open", Err: fmt.Errorf("%v: %w", err, hiperr.ErrDiskIO)}
+	}
+	s := &Store{
 		f:        f,
-		path:     path,
+		path:     f.Name(),
 		pageSize: pageSize,
+		temp:     temp,
 		slots:    make(map[substrate.PageKey]int64),
 		readBuf:  make([]byte, pageSize),
 		writeBuf: make([]byte, pageSize),
 		zeroBuf:  make([]byte, pageSize),
-	}, nil
-}
-
-// OpenTemp creates a store backed by a fresh file in dir (or the OS temp
-// directory when dir is empty). Close removes it.
-func OpenTemp(dir string, pageSize int) (*Store, error) {
-	if dir == "" {
-		dir = os.TempDir()
 	}
-	f, err := os.CreateTemp(dir, "hipec-pages-*.dat")
-	if err != nil {
-		return nil, &hiperr.Error{Op: "filestore.open", Err: fmt.Errorf("%s: %w", dir, hiperr.ErrDiskIO)}
+	if mapped {
+		// Mapping unavailable here leaves the store on pread/pwrite; a
+		// real truncate failure (ENOSPC) still aborts.
+		if err := s.mapCapacity(mappedInitialPages); err != nil && !errors.Is(err, errMapUnsupported) {
+			f.Close()
+			os.Remove(s.path)
+			return nil, err
+		}
 	}
-	name := f.Name()
-	f.Close()
-	s, err := Open(name, pageSize)
-	if err != nil {
-		os.Remove(name)
-		return nil, err
-	}
-	s.temp = true
 	return s, nil
 }
 
 // Path returns the backing file's path.
 func (s *Store) Path() string { return filepath.Clean(s.path) }
 
-// Close flushes and closes the backing file, removing it if the store was
-// opened with OpenTemp.
+// Mapped reports whether the mapping is live (false = pread/pwrite).
+func (s *Store) Mapped() bool { return s.data != nil }
+
+// mapCapacity grows the file to capPages pages and maps it afresh. After
+// an error the store is on pread/pwrite unless the truncate itself failed.
+func (s *Store) mapCapacity(capPages int64) error {
+	if err := s.f.Truncate(capPages * int64(s.pageSize)); err != nil {
+		return &hiperr.Error{Op: "filestore.grow",
+			Err: fmt.Errorf("%s to %d pages: %v: %w", s.path, capPages, err, hiperr.ErrDiskIO)}
+	}
+	if s.data != nil {
+		err := unmapFile(s.data)
+		s.data = nil
+		if err != nil {
+			return &hiperr.Error{Op: "filestore.grow",
+				Err: fmt.Errorf("%s unmap: %v: %w", s.path, err, hiperr.ErrDiskIO)}
+		}
+	}
+	data, err := mapFile(s.f, capPages*int64(s.pageSize))
+	if err != nil {
+		return err
+	}
+	s.data, s.capPages = data, capPages
+	return nil
+}
+
+// Close unmaps and closes the backing file, removing it if the store was
+// opened with OpenTemp or OpenTempMapped. The unmap always runs; the first
+// error wins.
 func (s *Store) Close() error {
-	err := s.f.Close()
+	var err error
+	if s.data != nil {
+		err = unmapFile(s.data)
+		s.data = nil
+	}
+	if cerr := s.f.Close(); err == nil {
+		err = cerr
+	}
 	if s.temp {
 		os.Remove(s.path)
 	}
@@ -145,6 +214,38 @@ func (s *Store) WritePage(key substrate.PageKey, data []byte) error {
 	if len(data) > s.pageSize {
 		panic(fmt.Sprintf("filestore: page data %d bytes exceeds page size %d", len(data), s.pageSize))
 	}
+	n, fresh := s.slot(key)
+	if err := s.put(n, data); err != nil {
+		if fresh {
+			delete(s.slots, key)
+			s.releaseSlot(n)
+		}
+		return err
+	}
+	s.writes++
+	return nil
+}
+
+// put writes data, zero-padded to a full page, into slot n: a copy into
+// the mapping (growing it as needed), or a pwrite.
+func (s *Store) put(n int64, data []byte) error {
+	if s.data != nil && n >= s.capPages {
+		newCap := s.capPages * 2
+		for n >= newCap {
+			newCap *= 2
+		}
+		if err := s.mapCapacity(newCap); err != nil && !errors.Is(err, errMapUnsupported) {
+			return err
+		}
+		// On errMapUnsupported the filesystem stopped cooperating mid-run:
+		// the mapping is gone and pread/pwrite serves from here on.
+	}
+	off := n * int64(s.pageSize)
+	if s.data != nil {
+		dst := s.data[off : off+int64(s.pageSize)]
+		copy(dst[copy(dst, data):], s.zeroBuf)
+		return nil
+	}
 	buf := s.zeroBuf
 	if len(data) > 0 {
 		if len(data) == s.pageSize {
@@ -155,35 +256,33 @@ func (s *Store) WritePage(key substrate.PageKey, data []byte) error {
 			buf = s.writeBuf
 		}
 	}
-	n, fresh := s.slot(key)
-	if _, err := s.f.WriteAt(buf, n*int64(s.pageSize)); err != nil {
-		if fresh {
-			delete(s.slots, key)
-			s.releaseSlot(n)
-		}
+	if _, err := s.f.WriteAt(buf, off); err != nil {
 		return &hiperr.Error{Op: "filestore.write",
 			Err: fmt.Errorf("%s slot %d: %v: %w", s.path, n, err, hiperr.ErrDiskIO)}
 	}
-	s.Writes++
 	return nil
 }
 
 // ReadPage implements substrate.Store. The returned slice is the store's
 // reusable read buffer, valid until the next ReadPage (WritePage uses a
-// separate scratch buffer and never clobbers it) — the VM copies it into
-// the destination frame immediately. A real I/O failure returns ok=true
-// (the page is present) with a typed hiperr error wrapping ErrDiskIO, which
-// feeds the VM's fault retry ladder.
+// separate scratch buffer and never clobbers it) — never a window into the
+// mapping, which can move on growth or vanish on Close. The VM copies it
+// into the destination frame immediately. A real I/O failure returns
+// ok=true (the page is present) with a typed hiperr error wrapping
+// ErrDiskIO, which feeds the VM's fault retry ladder.
 func (s *Store) ReadPage(key substrate.PageKey) ([]byte, bool, error) {
 	n, ok := s.slots[key]
 	if !ok {
 		return nil, false, nil
 	}
-	if _, err := s.f.ReadAt(s.readBuf, n*int64(s.pageSize)); err != nil {
+	off := n * int64(s.pageSize)
+	if s.data != nil {
+		copy(s.readBuf, s.data[off:off+int64(s.pageSize)])
+	} else if _, err := s.f.ReadAt(s.readBuf, off); err != nil {
 		return nil, true, &hiperr.Error{Op: "filestore.read",
 			Err: fmt.Errorf("%s slot %d: %v: %w", s.path, n, err, hiperr.ErrDiskIO)}
 	}
-	s.Reads++
+	s.reads++
 	return s.readBuf, true, nil
 }
 
@@ -196,7 +295,7 @@ func (s *Store) Contains(key substrate.PageKey) bool {
 // Len implements substrate.Store.
 func (s *Store) Len() int { return len(s.slots) }
 
-// DeletePage implements substrate.Deleter: the key's slot returns to the
+// DeletePage implements substrate.Store: the key's slot returns to the
 // free list (or shrinks the high-water mark) and is reused by later writes.
 // The slot's bytes are not scrubbed — the store is a cache backend, and a
 // freed slot is unreachable through the index.
@@ -210,7 +309,8 @@ func (s *Store) DeletePage(key substrate.PageKey) bool {
 	return true
 }
 
-// Sync flushes the backing file to stable storage (fsync).
+// Sync implements substrate.Store: fsync the backing file, which covers
+// pages dirtied through the mapping on the platforms we map on.
 func (s *Store) Sync() error {
 	if err := s.f.Sync(); err != nil {
 		return &hiperr.Error{Op: "filestore.sync",
@@ -219,11 +319,8 @@ func (s *Store) Sync() error {
 	return nil
 }
 
-// StoreIO reports the page transfers that hit the file, for banners and
-// harnesses that work against any backend kind.
-func (s *Store) StoreIO() (reads, writes int64) { return s.Reads, s.Writes }
+// StoreIO implements substrate.Store: the page transfers in and out of the
+// file.
+func (s *Store) StoreIO() (reads, writes int64) { return s.reads, s.writes }
 
-var (
-	_ substrate.Store   = (*Store)(nil)
-	_ substrate.Deleter = (*Store)(nil)
-)
+var _ substrate.Store = (*Store)(nil)

@@ -5,9 +5,11 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"hipec/internal/hiperr"
+	"hipec/internal/store/storetest"
 	"hipec/internal/substrate"
 )
 
@@ -43,8 +45,8 @@ func TestRoundTrip(t *testing.T) {
 	if s.Len() != 1 || !s.Contains(key) {
 		t.Fatalf("Len=%d Contains=%v", s.Len(), s.Contains(key))
 	}
-	if s.Reads != 1 || s.Writes != 1 {
-		t.Fatalf("Reads=%d Writes=%d", s.Reads, s.Writes)
+	if r, w := s.StoreIO(); r != 1 || w != 1 {
+		t.Fatalf("StoreIO = %d reads, %d writes; want 1, 1", r, w)
 	}
 }
 
@@ -172,4 +174,175 @@ func TestOpenTempRemovesOnClose(t *testing.T) {
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatalf("backing file survived Close: %v", err)
 	}
+}
+
+// TestOpenKeepsOSCause: a failed open is typed ErrDiskIO and still says
+// why the OS refused, in every mode.
+func TestOpenKeepsOSCause(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "no-such-dir")
+	_, statErr := os.Stat(missing)
+	if statErr == nil {
+		t.Fatal("missing directory exists")
+	}
+	cause := errors.Unwrap(statErr).Error() // e.g. "no such file or directory"
+	file := filepath.Join(missing, "pages.dat")
+	for name, open := range map[string]func() (*Store, error){
+		"Open":           func() (*Store, error) { return Open(file, 4096) },
+		"OpenTemp":       func() (*Store, error) { return OpenTemp(missing, 4096) },
+		"OpenMapped":     func() (*Store, error) { return OpenMapped(file, 4096) },
+		"OpenTempMapped": func() (*Store, error) { return OpenTempMapped(missing, 4096) },
+	} {
+		s, err := open()
+		if err == nil {
+			s.Close()
+			t.Fatalf("%s under a missing directory succeeded", name)
+		}
+		if !errors.Is(err, hiperr.ErrDiskIO) {
+			t.Errorf("%s: error %v does not wrap hiperr.ErrDiskIO", name, err)
+		}
+		if !strings.Contains(err.Error(), cause) {
+			t.Errorf("%s: error %q does not name the OS cause %q", name, err, cause)
+		}
+	}
+}
+
+// dropMapping does to a mapped store what a filesystem that stops
+// cooperating mid-run does: the mapping goes, the slot table stays, and
+// pread/pwrite serves from then on.
+func dropMapping(t *testing.T, s *Store) {
+	t.Helper()
+	if !s.Mapped() {
+		s.Close()
+		t.Skip("mmap unavailable here: the store opened on pread/pwrite")
+	}
+	if err := unmapFile(s.data); err != nil {
+		t.Fatalf("unmap: %v", err)
+	}
+	s.data = nil
+}
+
+// TestMappedDegradeKeepsPages drives a mapped store past its initial
+// capacity (one remap), deletes some pages, drops the mapping, then keeps
+// writing, overwriting and deleting on pread/pwrite. Every live page must
+// read back byte-identical, and slots freed on either side of the switch
+// must be reused before the file grows.
+func TestMappedDegradeKeepsPages(t *testing.T) {
+	const ps = 512
+	s, err := OpenTempMapped(t.TempDir(), ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	want := map[substrate.PageKey][]byte{}
+	key := func(i int) substrate.PageKey {
+		return substrate.PageKey{Object: uint64(i % 3), Offset: int64(i) * ps}
+	}
+	write := func(i int, seed byte) {
+		t.Helper()
+		data := bytes.Repeat([]byte{seed, byte(i)}, ps/2)
+		switch i % 5 {
+		case 3:
+			data = data[:ps/3] // partial: the tail reads back zeroed
+		case 4:
+			data = nil // presence only: reads back as zeroes
+		}
+		if err := s.WritePage(key(i), data); err != nil {
+			t.Fatalf("WritePage(%d): %v", i, err)
+		}
+		page := make([]byte, ps)
+		copy(page, data)
+		want[key(i)] = page
+	}
+	del := func(i int) {
+		t.Helper()
+		if !s.DeletePage(key(i)) {
+			t.Fatalf("DeletePage(%d) = false", i)
+		}
+		delete(want, key(i))
+	}
+	verify := func(phase string) {
+		t.Helper()
+		if s.Len() != len(want) {
+			t.Fatalf("%s: Len %d, want %d", phase, s.Len(), len(want))
+		}
+		for k, page := range want {
+			got, ok, err := s.ReadPage(k)
+			if err != nil || !ok {
+				t.Fatalf("%s: page %v: ok=%v err=%v", phase, k, ok, err)
+			}
+			if !bytes.Equal(got, page) {
+				t.Fatalf("%s: page %v reads back different bytes", phase, k)
+			}
+		}
+	}
+
+	// Mapped: 100 pages outgrow the 64-page initial mapping.
+	for i := 0; i < 100; i++ {
+		write(i, 0xA0)
+	}
+	if !s.Mapped() || s.capPages < 100 {
+		t.Fatalf("after 100 mapped writes: mapped=%v capacity %d pages", s.Mapped(), s.capPages)
+	}
+	for _, i := range []int{10, 20, 30} {
+		del(i)
+	}
+	verify("mapped")
+	high := s.nextSlot
+
+	dropMapping(t, s)
+	verify("just degraded")
+
+	// Three new keys take the three slots freed while mapped.
+	for i := 100; i < 103; i++ {
+		write(i, 0xB0)
+	}
+	if s.nextSlot != high || len(s.free) != 0 {
+		t.Fatalf("slots freed while mapped not reused: high-water %d -> %d, %d still free", high, s.nextSlot, len(s.free))
+	}
+	// Overwrites of pages first written through the mapping.
+	for i := 0; i < 100; i += 7 {
+		if _, ok := want[key(i)]; ok {
+			write(i, 0xC0)
+		}
+	}
+	// Slots freed on pread/pwrite are reused too.
+	for _, i := range []int{1, 2, 101} {
+		del(i)
+	}
+	for i := 103; i < 106; i++ {
+		write(i, 0xD0)
+	}
+	if s.nextSlot != high || len(s.free) != 0 {
+		t.Fatalf("slots freed after the degrade not reused: high-water %d -> %d, %d still free", high, s.nextSlot, len(s.free))
+	}
+	if s.Mapped() {
+		t.Fatal("store remapped itself after the degrade")
+	}
+	verify("degraded")
+}
+
+// TestDegradedStoreConforms runs the conformance kit over a store that
+// outgrew its initial mapping, freed every page and then lost the mapping:
+// the kit's workloads reuse mapped-era slots on pread/pwrite.
+func TestDegradedStoreConforms(t *testing.T) {
+	storetest.Run(t, func(t *testing.T) substrate.Store {
+		s, err := OpenTempMapped(t.TempDir(), 512)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := func(i int64) substrate.PageKey { return substrate.PageKey{Object: 99, Offset: i * 512} }
+		for i := int64(0); i < mappedInitialPages+6; i++ {
+			if err := s.WritePage(k(i), []byte{byte(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := int64(0); i < mappedInitialPages+6; i++ {
+			s.DeletePage(k(i))
+		}
+		if s.capPages <= mappedInitialPages {
+			t.Fatalf("mapping did not grow: %d pages", s.capPages)
+		}
+		dropMapping(t, s)
+		return s
+	})
 }

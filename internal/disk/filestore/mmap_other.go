@@ -1,11 +1,11 @@
 //go:build !(linux || darwin || freebsd || netbsd || openbsd || dragonfly)
 
-package store
+package filestore
 
 import "os"
 
-// mapFile reports mmap unsupported on this platform; Mmap degrades to
-// filestore-style pread/pwrite against the same slot layout.
+// mapFile reports mmap unsupported on this platform; a mapped store runs
+// pread/pwrite against the same slot layout.
 func mapFile(_ *os.File, _ int64) ([]byte, error) {
 	return nil, errMapUnsupported
 }

@@ -1,6 +1,6 @@
 //go:build linux || darwin || freebsd || netbsd || openbsd || dragonfly
 
-package store
+package filestore
 
 import (
 	"fmt"
@@ -20,7 +20,7 @@ func mapFile(f *os.File, length int64) ([]byte, error) {
 		if err == syscall.ENODEV || err == syscall.ENOTSUP || err == syscall.EOPNOTSUPP {
 			return nil, errMapUnsupported
 		}
-		return nil, &hiperr.Error{Op: "store.mmap.map",
+		return nil, &hiperr.Error{Op: "filestore.map",
 			Err: fmt.Errorf("%s (%d bytes): %v: %w", f.Name(), length, err, hiperr.ErrDiskIO)}
 	}
 	return data, nil

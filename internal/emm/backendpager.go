@@ -66,9 +66,8 @@ func (p *BackendPager) DataReturn(obj uint64, off int64, src []byte) error {
 
 // PagerTerminate implements vm.Pager. Stores are keyed per page and cannot
 // enumerate an object's pages cheaply; the backing pages are simply left
-// behind, exactly as the filestore-backed realtime engine leaves them. A
-// store that can reclaim per key does so through substrate.Deleter at a
-// higher layer.
+// behind, exactly as the filestore-backed realtime engine leaves them;
+// per-key reclamation (Store.DeletePage) belongs to a higher layer.
 func (p *BackendPager) PagerTerminate(obj uint64) {}
 
 // Contains reports whether the store holds (obj, off); the FailoverPager

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"path/filepath"
 	"testing"
 
 	"hipec/internal/disk/filestore"
@@ -10,9 +11,9 @@ import (
 
 // TestStoreConformance runs the storetest kit against every Store
 // implementation in the tree — the reference MemStore, the slot-file
-// store, each composite in this package (in both modes and over both
-// child kinds), the mmap store in both mapped and fallback modes, and
-// the kit's own fault-injecting wrapper. One contract, one suite.
+// store in both I/O modes, each composite in this package (in both modes
+// and over both child kinds), and the kit's own fault-injecting wrapper.
+// One contract, one suite.
 func TestStoreConformance(t *testing.T) {
 	const ps = 512
 	matrix := []struct {
@@ -23,9 +24,9 @@ func TestStoreConformance(t *testing.T) {
 			return substrate.NewMemStore(ps, true)
 		}},
 		{"File", func(t *testing.T) substrate.Store {
-			s, err := filestore.OpenTemp(t.TempDir(), ps)
+			s, err := filestore.Open(filepath.Join(t.TempDir(), "pages.dat"), ps)
 			if err != nil {
-				t.Fatalf("filestore.OpenTemp: %v", err)
+				t.Fatalf("filestore.Open: %v", err)
 			}
 			return s
 		}},
@@ -59,18 +60,20 @@ func TestStoreConformance(t *testing.T) {
 			return NewSharded(children...)
 		}},
 		{"Mmap", func(t *testing.T) substrate.Store {
-			s, err := OpenMmapTemp(t.TempDir(), ps)
+			s, err := filestore.OpenTempMapped(t.TempDir(), ps)
 			if err != nil {
-				t.Fatalf("OpenMmapTemp: %v", err)
+				t.Fatalf("filestore.OpenTempMapped: %v", err)
 			}
 			return s
 		}},
 		{"MmapFallback", func(t *testing.T) substrate.Store {
-			s, err := OpenMmapTemp(t.TempDir(), ps)
+			// A mapped store that cannot map opens in exactly this state:
+			// the same slot file on pread/pwrite. The mid-run drop from
+			// mapped to pread/pwrite is tested in the filestore package.
+			s, err := filestore.OpenTemp(t.TempDir(), ps)
 			if err != nil {
-				t.Fatalf("OpenMmapTemp: %v", err)
+				t.Fatalf("filestore.OpenTemp: %v", err)
 			}
-			forceFallback(s)
 			return s
 		}},
 		{"FailingPassthrough", func(t *testing.T) substrate.Store {
@@ -101,15 +104,5 @@ func TestStoreConformance(t *testing.T) {
 	}
 	for _, m := range matrix {
 		t.Run(m.name, func(t *testing.T) { storetest.Run(t, m.factory) })
-	}
-}
-
-// forceFallback drops a live mapping so the store runs the
-// filestore-semantics path, as it would on a platform or filesystem
-// without mmap.
-func forceFallback(s *Mmap) {
-	if s.data != nil {
-		_ = unmapFile(s.data)
-		s.data = nil
 	}
 }

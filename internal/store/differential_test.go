@@ -80,11 +80,7 @@ func runScript(t *testing.T, subject substrate.Store, script []byte) {
 				t.Fatalf("op %d contains %v: subject %v, oracle %v", i, k, s, o)
 			}
 		case 4:
-			sd, sok := subject.(substrate.Deleter)
-			if !sok {
-				continue // backend opted out of deletion; skip the op
-			}
-			if s, o := sd.DeletePage(k), oracle.DeletePage(k); s != o {
+			if s, o := subject.DeletePage(k), oracle.DeletePage(k); s != o {
 				t.Fatalf("op %d delete %v: subject %v, oracle %v", i, k, s, o)
 			}
 		}
@@ -123,9 +119,9 @@ func diffSubjects(t *testing.T) map[string]substrate.Store {
 		t.Cleanup(func() { s.Close() })
 		return s
 	}
-	mm, err := OpenMmapTemp(t.TempDir(), diffPS)
+	mm, err := filestore.OpenTempMapped(t.TempDir(), diffPS)
 	if err != nil {
-		t.Fatalf("OpenMmapTemp: %v", err)
+		t.Fatalf("filestore.OpenTempMapped: %v", err)
 	}
 	t.Cleanup(func() { mm.Close() })
 	tieredWT := NewTiered(substrate.NewMemStore(diffPS, true), newFile(), WriteThrough, 5)
@@ -176,9 +172,9 @@ func FuzzStoreOps(f *testing.F) {
 		sharded := NewSharded(substrate.NewMemStore(diffPS, true),
 			substrate.NewMemStore(diffPS, true), substrate.NewMemStore(diffPS, true))
 		runScript(t, sharded, script)
-		mm, err := OpenMmapTemp(t.TempDir(), diffPS)
+		mm, err := filestore.OpenTempMapped(t.TempDir(), diffPS)
 		if err != nil {
-			t.Fatalf("OpenMmapTemp: %v", err)
+			t.Fatalf("filestore.OpenTempMapped: %v", err)
 		}
 		defer mm.Close()
 		runScript(t, mm, script)

@@ -20,15 +20,14 @@ import (
 // A nil plane decides nothing; the wrapper is then a transparent
 // pass-through (the same contract as every other faultinj consumer).
 func InjectFaults(child substrate.Store, plane *faultinj.Plane) substrate.Store {
-	return &faultStore{child: child, plane: plane}
+	return &faultStore{Store: child, plane: plane}
 }
 
+// faultStore forwards everything but the two transfers to the child.
 type faultStore struct {
-	child substrate.Store
+	substrate.Store
 	plane *faultinj.Plane
 }
-
-func (s *faultStore) PageSize() int { return s.child.PageSize() }
 
 // WritePage fails before touching the child, so an injected failure never
 // records presence.
@@ -37,55 +36,17 @@ func (s *faultStore) WritePage(key substrate.PageKey, data []byte) error {
 		return &hiperr.Error{Op: "store.inject.write",
 			Err: fmt.Errorf("injected write fault at %v: %w", key, hiperr.ErrDiskIO)}
 	}
-	return s.child.WritePage(key, data)
+	return s.Store.WritePage(key, data)
 }
 
 // ReadPage reports an injected failure as "present but unreadable" when
 // the child holds the page — the same shape as a real medium error.
 func (s *faultStore) ReadPage(key substrate.PageKey) ([]byte, bool, error) {
 	if s.plane.Decide(faultinj.DiskRead).Fail {
-		return nil, s.child.Contains(key), &hiperr.Error{Op: "store.inject.read",
+		return nil, s.Store.Contains(key), &hiperr.Error{Op: "store.inject.read",
 			Err: fmt.Errorf("injected read fault at %v: %w", key, hiperr.ErrDiskIO)}
 	}
-	return s.child.ReadPage(key)
+	return s.Store.ReadPage(key)
 }
 
-func (s *faultStore) Contains(key substrate.PageKey) bool { return s.child.Contains(key) }
-func (s *faultStore) Len() int                            { return s.child.Len() }
-
-// DeletePage, Sync, StoreIO and Close forward to the child where
-// supported, so the wrapper composes under Tiered/Sharded without hiding
-// the optional surfaces.
-func (s *faultStore) DeletePage(key substrate.PageKey) bool {
-	if d, ok := s.child.(substrate.Deleter); ok {
-		return d.DeletePage(key)
-	}
-	return false
-}
-
-func (s *faultStore) Sync() error {
-	if sy, ok := s.child.(Syncer); ok {
-		return sy.Sync()
-	}
-	return nil
-}
-
-func (s *faultStore) StoreIO() (reads, writes int64) {
-	if io, ok := s.child.(IOStats); ok {
-		return io.StoreIO()
-	}
-	return 0, 0
-}
-
-func (s *faultStore) Close() error {
-	if c, ok := s.child.(interface{ Close() error }); ok {
-		return c.Close()
-	}
-	return nil
-}
-
-var (
-	_ substrate.Store   = (*faultStore)(nil)
-	_ substrate.Deleter = (*faultStore)(nil)
-	_ Syncer            = (*faultStore)(nil)
-)
+var _ substrate.Store = (*faultStore)(nil)

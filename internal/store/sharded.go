@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"io"
 
 	"hipec/internal/substrate"
 )
@@ -94,56 +93,43 @@ func (s *Sharded) Len() int {
 	return n
 }
 
-// DeletePage implements substrate.Deleter where the owning shard does.
+// DeletePage implements substrate.Store on the owning shard.
 func (s *Sharded) DeletePage(key substrate.PageKey) bool {
-	if d, ok := s.children[s.shard(key)].(substrate.Deleter); ok {
-		return d.DeletePage(key)
-	}
-	return false
+	return s.children[s.shard(key)].DeletePage(key)
 }
 
-// Sync implements Syncer: every shard that can sync does; sweeping
-// continues past failures and the first error (shard-tagged) returns.
+// Sync implements substrate.Store: every shard syncs; sweeping continues
+// past failures and the first error (shard-tagged) returns.
 func (s *Sharded) Sync() error {
 	var first error
 	for i, c := range s.children {
-		if sy, ok := c.(Syncer); ok {
-			if err := sy.Sync(); err != nil && first == nil {
-				first = diskErr("store.sharded.sync", fmt.Sprintf("shard %d", i), err)
-			}
+		if err := c.Sync(); err != nil && first == nil {
+			first = diskErr("store.sharded.sync", fmt.Sprintf("shard %d", i), err)
 		}
 	}
 	return first
 }
 
-// StoreIO implements IOStats: summed over shards.
+// StoreIO implements substrate.Store: summed over shards.
 func (s *Sharded) StoreIO() (reads, writes int64) {
 	for _, c := range s.children {
-		if io, ok := c.(IOStats); ok {
-			r, w := io.StoreIO()
-			reads += r
-			writes += w
-		}
+		r, w := c.StoreIO()
+		reads += r
+		writes += w
 	}
 	return reads, writes
 }
 
-// Close closes every child that can close — all of them, even after a
-// failure — and returns the first error.
+// Close closes every child — all of them, even after a failure — and
+// returns the first error.
 func (s *Sharded) Close() error {
 	var first error
 	for _, c := range s.children {
-		if cl, ok := c.(io.Closer); ok {
-			if err := cl.Close(); err != nil && first == nil {
-				first = err
-			}
+		if err := c.Close(); err != nil && first == nil {
+			first = err
 		}
 	}
 	return first
 }
 
-var (
-	_ substrate.Store   = (*Sharded)(nil)
-	_ substrate.Deleter = (*Sharded)(nil)
-	_ Syncer            = (*Sharded)(nil)
-)
+var _ substrate.Store = (*Sharded)(nil)

@@ -1,6 +1,6 @@
 // Package store grows substrate.Store from two implementations (the
-// simulation's MemStore, the realtime filestore) into a family of
-// composable backends:
+// simulation's MemStore, the realtime slot-file filestore) into a family
+// of composable backends, and opens any of them by kind name (Open):
 //
 //   - Tiered: a fast tier caching a slow tier, write-through or
 //     write-back, with promotion on read and FIFO eviction at a fast-tier
@@ -8,9 +8,11 @@
 //     composes.
 //   - Sharded: deterministic object-ID/offset partitioned fan-out across N
 //     child stores (N files, N devices, N tiered stacks...).
-//   - Mmap: an mmap-backed file store — page writes are memory copies into
-//     the mapping and durability is explicit (Sync) — falling back to
-//     filestore-style pread/pwrite where mmap is unavailable.
+//
+// The "mmap" kind is the filestore in its mapped I/O mode, not a backend of
+// its own. Every Store implements the whole interface — deletion, Sync,
+// I/O counters and Close included — so the composites and wrappers here
+// call their children directly and forward by embedding.
 //
 // Every backend keeps the substrate.Store contract: misuse (unaligned
 // offsets, oversize pages) panics, real I/O failures come back wrapped in
@@ -31,31 +33,23 @@ package store
 import (
 	"errors"
 	"fmt"
-	"io"
 
 	"hipec/internal/disk/filestore"
 	"hipec/internal/hiperr"
 	"hipec/internal/substrate"
 )
 
-// Syncer is the optional durability surface of a backend: Sync pushes
-// buffered state (a write-back fast tier's dirty pages, an mmap'ed
-// mapping's page-cache residue) to the layer that owns durability.
-type Syncer interface {
-	Sync() error
-}
+// Syncer and IOStats name parts of substrate.Store that every backend
+// implements. They remain only because the perfbench harness names them.
+type (
+	Syncer  = substrate.Syncer
+	IOStats = substrate.IOStats
+)
 
-// IOStats is the optional counter surface: page transfers that genuinely
-// hit a backing device, summed across a composite's children.
-type IOStats interface {
-	StoreIO() (reads, writes int64)
-}
-
-// Backend is what Open returns: a Store plus the lifecycle and labeling
-// every CLI-selected backend needs.
+// Backend is what Open returns: a Store plus the label every CLI-selected
+// backend prints.
 type Backend interface {
 	substrate.Store
-	Close() error
 	Label() string
 }
 
@@ -79,127 +73,76 @@ const (
 // usually arrives from a flag).
 func Open(kind, path string, pageSize int) (Backend, error) {
 	switch kind {
-	case "", "file":
-		fs, err := openFile(path, pageSize)
+	case "", "file", "mmap":
+		fs, err := openFile(path, kind == "mmap", pageSize)
 		if err != nil {
 			return nil, err
 		}
-		return &labeled{Store: fs, label: "file:" + fs.Path(), close: fs.Close}, nil
+		label := "file:"
+		if kind == "mmap" {
+			label = "mmap:"
+			if !fs.Mapped() {
+				label = "mmap-fallback:"
+			}
+		}
+		return &labeled{fs, label + fs.Path()}, nil
 	case "mem":
-		return &labeled{Store: substrate.NewMemStore(pageSize, true), label: "mem"}, nil
+		return &labeled{substrate.NewMemStore(pageSize, true), "mem"}, nil
 	case "tiered":
-		slow, err := openFile(path, pageSize)
+		slow, err := openFile(path, false, pageSize)
 		if err != nil {
 			return nil, err
 		}
 		fast := substrate.NewMemStore(pageSize, true)
 		t := NewTiered(fast, slow, WriteThrough, DefaultTierCap)
-		return &labeled{Store: t,
-			label: fmt.Sprintf("tiered(mem[%d]->file:%s)", DefaultTierCap, slow.Path()),
-			close: t.Close}, nil
+		return &labeled{t, fmt.Sprintf("tiered(mem[%d]->file:%s)", DefaultTierCap, slow.Path())}, nil
 	case "sharded":
 		children := make([]substrate.Store, DefaultShards)
-		var paths string
+		var first string
 		for i := range children {
-			var fs *filestore.Store
-			var err error
-			if path == "" {
-				fs, err = filestore.OpenTemp("", pageSize)
-			} else {
-				fs, err = filestore.Open(fmt.Sprintf("%s.shard%d", path, i), pageSize)
+			shardPath := path
+			if path != "" {
+				shardPath = fmt.Sprintf("%s.shard%d", path, i)
 			}
+			fs, err := openFile(shardPath, false, pageSize)
 			if err != nil {
-				closeAll(children[:i])
+				for _, c := range children[:i] {
+					c.Close()
+				}
 				return nil, err
 			}
 			children[i] = fs
 			if i == 0 {
-				paths = fs.Path()
+				first = fs.Path()
 			}
 		}
-		sh := NewSharded(children...)
-		return &labeled{Store: sh,
-			label: fmt.Sprintf("sharded(%d x file:%s...)", DefaultShards, paths),
-			close: sh.Close}, nil
-	case "mmap":
-		var m *Mmap
-		var err error
-		if path == "" {
-			m, err = OpenMmapTemp("", pageSize)
-		} else {
-			m, err = OpenMmap(path, pageSize)
-		}
-		if err != nil {
-			return nil, err
-		}
-		mode := "mmap"
-		if !m.Mapped() {
-			mode = "mmap-fallback"
-		}
-		return &labeled{Store: m, label: mode + ":" + m.Path(), close: m.Close}, nil
+		return &labeled{NewSharded(children...), fmt.Sprintf("sharded(%d x file:%s...)", DefaultShards, first)}, nil
 	}
 	return nil, &hiperr.Error{Op: "store.open",
 		Err: fmt.Errorf("unknown store kind %q (want %s): %w", kind, Kinds(), hiperr.ErrBadRequest)}
 }
 
 // openFile opens a filestore at path, or a temp-backed one when path is
-// empty.
-func openFile(path string, pageSize int) (*filestore.Store, error) {
-	if path == "" {
+// empty, in its mapped I/O mode when mapped.
+func openFile(path string, mapped bool, pageSize int) (*filestore.Store, error) {
+	switch {
+	case path == "" && mapped:
+		return filestore.OpenTempMapped("", pageSize)
+	case path == "":
 		return filestore.OpenTemp("", pageSize)
+	case mapped:
+		return filestore.OpenMapped(path, pageSize)
 	}
 	return filestore.Open(path, pageSize)
 }
 
-// closeAll best-effort closes the stores that implement io.Closer.
-func closeAll(stores []substrate.Store) {
-	for _, s := range stores {
-		if c, ok := s.(io.Closer); ok {
-			c.Close()
-		}
-	}
-}
-
-// labeled adapts any Store into a Backend, forwarding the optional
-// surfaces (Deleter, Syncer, IOStats) to the wrapped store.
+// labeled adapts any Store into a Backend.
 type labeled struct {
 	substrate.Store
 	label string
-	close func() error
 }
 
 func (b *labeled) Label() string { return b.label }
-
-func (b *labeled) Close() error {
-	if b.close == nil {
-		return nil
-	}
-	return b.close()
-}
-
-// Sync forwards to the wrapped store's Syncer, if any.
-func (b *labeled) Sync() error {
-	if s, ok := b.Store.(Syncer); ok {
-		return s.Sync()
-	}
-	return nil
-}
-
-// DeletePage forwards to the wrapped store's Deleter, if any.
-func (b *labeled) DeletePage(key substrate.PageKey) bool {
-	if d, ok := b.Store.(substrate.Deleter); ok {
-		return d.DeletePage(key)
-	}
-	return false
-}
-
-// StoreIO forwards to the wrapped store's IOStats, if any.
-func (b *labeled) StoreIO() (reads, writes int64) {
-	if io, ok := b.Store.(IOStats); ok {
-		return io.StoreIO()
-	}
-	return 0, 0
-}
 
 // diskErr wraps a child-store failure with composite context, preserving
 // the child's chain and guaranteeing the ErrDiskIO sentinel even when the

@@ -6,6 +6,7 @@
 //
 // The kit checks the full written contract: round-trips, overwrite,
 // nil-write presence, partial-page zero padding, Contains/Len accounting,
+// deletion and slot reuse, Sync and the transfer counters,
 // hiperr.ErrDiskIO propagation under injected failures, and serialized
 // concurrent use under the race detector (stores are confined to one actor
 // loop in production; the kit mimics that discipline with a mutex and lets
@@ -16,7 +17,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"testing"
 
@@ -25,8 +25,7 @@ import (
 )
 
 // Factory opens a fresh, empty store for one subtest. Cleanup is the
-// kit's job: stores that implement io.Closer are closed when the subtest
-// ends.
+// kit's job: the store is closed when the subtest ends.
 type Factory func(t *testing.T) substrate.Store
 
 // Run exercises the store contract against factory-built instances. Each
@@ -39,6 +38,7 @@ func Run(t *testing.T, factory Factory) {
 	t.Run("PartialPagePadding", func(t *testing.T) { testPartialPage(t, open(t, factory)) })
 	t.Run("ContainsLen", func(t *testing.T) { testContainsLen(t, open(t, factory)) })
 	t.Run("Delete", func(t *testing.T) { testDelete(t, open(t, factory)) })
+	t.Run("SyncAndCounters", func(t *testing.T) { testSyncAndCounters(t, open(t, factory)) })
 	t.Run("InjectedWriteFailure", func(t *testing.T) { testWriteFailure(t, open(t, factory)) })
 	t.Run("InjectedReadFailure", func(t *testing.T) { testReadFailure(t, open(t, factory)) })
 	t.Run("ConcurrentSerialized", func(t *testing.T) { testConcurrent(t, open(t, factory)) })
@@ -53,13 +53,11 @@ func open(t *testing.T, factory Factory) substrate.Store {
 	if s.PageSize() <= 0 {
 		t.Fatalf("PageSize() = %d, want > 0", s.PageSize())
 	}
-	if c, ok := s.(io.Closer); ok {
-		t.Cleanup(func() {
-			if err := c.Close(); err != nil {
-				t.Errorf("Close: %v", err)
-			}
-		})
-	}
+	t.Cleanup(func() {
+		if err := s.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	})
 	return s
 }
 
@@ -205,18 +203,14 @@ func testContainsLen(t *testing.T, s substrate.Store) {
 }
 
 func testDelete(t *testing.T, s substrate.Store) {
-	d, ok := s.(substrate.Deleter)
-	if !ok {
-		t.Skip("store does not implement substrate.Deleter")
-	}
 	k := key(s, 3, 5)
-	if d.DeletePage(k) {
+	if s.DeletePage(k) {
 		t.Fatal("DeletePage(absent) = true")
 	}
 	if err := s.WritePage(k, pattern(s.PageSize(), 0x5C)); err != nil {
 		t.Fatalf("WritePage: %v", err)
 	}
-	if !d.DeletePage(k) {
+	if !s.DeletePage(k) {
 		t.Fatal("DeletePage(present) = false")
 	}
 	if s.Contains(k) {
@@ -230,6 +224,28 @@ func testDelete(t *testing.T, s substrate.Store) {
 		t.Fatalf("WritePage after delete: %v", err)
 	}
 	wantPage(t, s, k, pattern(s.PageSize(), 0x3D))
+}
+
+// testSyncAndCounters: a healthy store syncs cleanly, and its counters
+// see at least every transfer made through it (a composite may count one
+// transfer in more than one child).
+func testSyncAndCounters(t *testing.T, s substrate.Store) {
+	const pages = 8
+	r0, w0 := s.StoreIO()
+	for i := int64(0); i < pages; i++ {
+		if err := s.WritePage(key(s, 5, i), pattern(s.PageSize(), byte(i))); err != nil {
+			t.Fatalf("WritePage: %v", err)
+		}
+	}
+	for i := int64(0); i < pages; i++ {
+		mustRead(t, s, key(s, 5, i))
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatalf("Sync: %v", err)
+	}
+	if r, w := s.StoreIO(); r-r0 < pages || w-w0 < pages {
+		t.Fatalf("StoreIO grew by %d reads, %d writes over %d of each", r-r0, w-w0, pages)
+	}
 }
 
 func testWriteFailure(t *testing.T, s substrate.Store) {
@@ -354,15 +370,6 @@ func (f *Failing) ReadPage(k substrate.PageKey) ([]byte, bool, error) {
 			Err: fmt.Errorf("injected failure on read %d at %v: %w", f.reads, k, hiperr.ErrDiskIO)}
 	}
 	return f.Store.ReadPage(k)
-}
-
-// DeletePage forwards to the child where supported, so Failing composes
-// under eviction-driven parents.
-func (f *Failing) DeletePage(k substrate.PageKey) bool {
-	if d, ok := f.Store.(substrate.Deleter); ok {
-		return d.DeletePage(k)
-	}
-	return false
 }
 
 var _ substrate.Store = (*Failing)(nil)

@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"io"
 	"slices"
 
 	"hipec/internal/substrate"
@@ -34,9 +33,8 @@ func (m TieredMode) String() string {
 // Tiered layers a fast Store over a slow one: reads hit the fast tier
 // first and promote slow-tier pages into it, writes follow the TieredMode,
 // and when the fast tier exceeds cap pages the oldest resident is evicted
-// (flushed first if dirty). The fast tier must implement substrate.Deleter
-// (eviction needs removal) and must be exclusively owned by the Tiered
-// store; the slow tier may be any Store.
+// (flushed first if dirty). The fast tier must be exclusively owned by the
+// Tiered store; the slow tier may be any Store.
 //
 // Failure semantics: a fast-tier write failure surfaces immediately and
 // records nothing. A slow-tier write failure — on a write-through store,
@@ -46,7 +44,6 @@ func (m TieredMode) String() string {
 // failing tier named.
 type Tiered struct {
 	fast, slow substrate.Store
-	fastDel    substrate.Deleter
 	mode       TieredMode
 	cap        int
 
@@ -57,8 +54,8 @@ type Tiered struct {
 
 // NewTiered builds a tiered store. cap bounds the fast tier in pages
 // (<= 0 means unbounded — no eviction, useful for a pure write buffer).
-// Both tiers must share a page size; fast must implement substrate.Deleter
-// and must not be the same store as slow.
+// Both tiers must share a page size, and fast must not be the same store
+// as slow.
 func NewTiered(fast, slow substrate.Store, mode TieredMode, cap int) *Tiered {
 	if fast == nil || slow == nil {
 		panic("store: tiered store needs both tiers")
@@ -70,12 +67,8 @@ func NewTiered(fast, slow substrate.Store, mode TieredMode, cap int) *Tiered {
 		panic(fmt.Sprintf("store: tiered page sizes differ (fast %d, slow %d)",
 			fast.PageSize(), slow.PageSize()))
 	}
-	del, ok := fast.(substrate.Deleter)
-	if !ok {
-		panic("store: tiered fast tier must support DeletePage (eviction)")
-	}
 	return &Tiered{
-		fast: fast, slow: slow, fastDel: del, mode: mode, cap: cap,
+		fast: fast, slow: slow, mode: mode, cap: cap,
 		dirty: make(map[substrate.PageKey]bool),
 	}
 }
@@ -141,7 +134,7 @@ func (t *Tiered) evict() error {
 			}
 			delete(t.dirty, victim)
 		}
-		t.fastDel.DeletePage(victim)
+		t.fast.DeletePage(victim)
 	}
 	return nil
 }
@@ -182,18 +175,12 @@ func (t *Tiered) Contains(key substrate.PageKey) bool {
 // Len implements substrate.Store: distinct keys across both tiers.
 func (t *Tiered) Len() int { return t.count }
 
-// DeletePage implements substrate.Deleter when the slow tier does; on an
-// append-only slow tier it drops the fast copy only and reports whether
-// the key is fully gone.
+// DeletePage implements substrate.Store: the key leaves both tiers.
 func (t *Tiered) DeletePage(key substrate.PageKey) bool {
 	present := t.Contains(key)
-	t.fastDel.DeletePage(key)
+	t.fast.DeletePage(key)
+	t.slow.DeletePage(key)
 	delete(t.dirty, key)
-	if d, ok := t.slow.(substrate.Deleter); ok {
-		d.DeletePage(key)
-	} else if t.slow.Contains(key) {
-		return false
-	}
 	if present {
 		t.count--
 	}
@@ -207,8 +194,8 @@ func (t *Tiered) Dirty() int { return len(t.dirty) }
 // FastLen reports the fast tier's resident page count.
 func (t *Tiered) FastLen() int { return t.fast.Len() }
 
-// Sync implements Syncer: flush every dirty page to the slow tier (in
-// deterministic key order), then sync the slow tier if it can. Flushing
+// Sync implements substrate.Store: flush every dirty page to the slow tier
+// (in deterministic key order), then sync the slow tier. Flushing
 // continues past failures; the first error is returned.
 func (t *Tiered) Sync() error {
 	keys := make([]substrate.PageKey, 0, len(t.dirty))
@@ -251,40 +238,28 @@ func (t *Tiered) Sync() error {
 	if first != nil {
 		return first
 	}
-	if s, ok := t.slow.(Syncer); ok {
-		return s.Sync()
-	}
-	return nil
+	return t.slow.Sync()
 }
 
-// StoreIO implements IOStats: the sum of both tiers' device transfers.
+// StoreIO implements substrate.Store: the sum of both tiers' transfers,
+// so a write-through write counts once per tier.
 func (t *Tiered) StoreIO() (reads, writes int64) {
-	for _, tier := range []substrate.Store{t.fast, t.slow} {
-		if io, ok := tier.(IOStats); ok {
-			r, w := io.StoreIO()
-			reads += r
-			writes += w
-		}
-	}
-	return reads, writes
+	fr, fw := t.fast.StoreIO()
+	sr, sw := t.slow.StoreIO()
+	return fr + sr, fw + sw
 }
 
 // Close flushes dirty pages (Sync) and closes both tiers. The first error
 // wins but every closer runs.
 func (t *Tiered) Close() error {
 	err := t.Sync()
-	for _, tier := range []substrate.Store{t.fast, t.slow} {
-		if c, ok := tier.(io.Closer); ok {
-			if cerr := c.Close(); cerr != nil && err == nil {
-				err = cerr
-			}
-		}
+	if cerr := t.fast.Close(); err == nil {
+		err = cerr
+	}
+	if cerr := t.slow.Close(); err == nil {
+		err = cerr
 	}
 	return err
 }
 
-var (
-	_ substrate.Store   = (*Tiered)(nil)
-	_ substrate.Deleter = (*Tiered)(nil)
-	_ Syncer            = (*Tiered)(nil)
-)
+var _ substrate.Store = (*Tiered)(nil)

@@ -10,8 +10,10 @@ type PageKey struct {
 }
 
 // Store is page-granular backing storage. The simulated kernel's paging
-// store (MemStore), the realtime file-backed store (disk/filestore) and any
-// future backend (networked, multi-tier) implement it.
+// store (MemStore), the realtime slot-file store (disk/filestore, in either
+// of its I/O modes) and the composites in internal/store implement it, and
+// every one implements all of it: there are no optional surfaces to probe
+// for, so a wrapper forwards by embedding.
 //
 // WritePage with nil data records presence without content (the simulation
 // runs data-free by default); ReadPage's ok distinguishes "absent" (a
@@ -37,18 +39,34 @@ type Store interface {
 	Contains(key PageKey) bool
 	// Len reports the number of pages present.
 	Len() int
+	Deleter
+	Syncer
+	IOStats
+	// Close releases the store's resources (files, mappings, children);
+	// the store is unusable afterwards.
+	Close() error
 }
 
-// Deleter is the optional removal surface of a Store. The paging kernel
-// never deletes (a page once written stays until the object dies), but
-// composite backends do: a tiered store's fast tier evicts pages it has
-// flushed down, and per-key reclamation needs somewhere to go. DeletePage
-// reports whether the key was present; deleting an absent key is a no-op.
-// Backends that cannot reclaim (an append-only remote, say) simply do not
-// implement it, and composites requiring eviction reject them at
-// construction.
+// Deleter is the removal part of Store. The paging kernel never deletes (a
+// page once written stays until the object dies), but composite backends
+// do: a tiered store's fast tier evicts pages it has flushed down.
+// DeletePage reports whether the key was present; deleting an absent key
+// is a no-op.
 type Deleter interface {
 	DeletePage(key PageKey) bool
+}
+
+// Syncer is the durability part of Store: Sync pushes buffered state (a
+// write-back fast tier's dirty pages, a mapped file's page-cache residue)
+// to the layer that owns durability.
+type Syncer interface {
+	Sync() error
+}
+
+// IOStats is the counter part of Store: StoreIO reports the page transfers
+// the store served, summed over a composite's children.
+type IOStats interface {
+	StoreIO() (reads, writes int64)
 }
 
 // MemStore is the in-memory backing store of the simulation substrate: the
@@ -56,9 +74,10 @@ type Deleter interface {
 // experiments that only count faults run with data disabled to avoid the
 // memory traffic.
 type MemStore struct {
-	pageSize int
-	keepData bool
-	pages    map[PageKey][]byte
+	pageSize      int
+	keepData      bool
+	pages         map[PageKey][]byte
+	reads, writes int64
 }
 
 // NewMemStore creates a backing store for pages of pageSize bytes. If
@@ -82,6 +101,7 @@ func (s *MemStore) WritePage(key PageKey, data []byte) error {
 	if len(data) > s.pageSize {
 		panic(fmt.Sprintf("substrate: page data %d bytes exceeds page size %d", len(data), s.pageSize))
 	}
+	s.writes++
 	if !s.keepData || data == nil {
 		s.pages[key] = nil
 		return nil
@@ -95,6 +115,9 @@ func (s *MemStore) WritePage(key PageKey, data []byte) error {
 // ReadPage implements Store; memory reads cannot fail.
 func (s *MemStore) ReadPage(key PageKey) (data []byte, ok bool, err error) {
 	d, ok := s.pages[key]
+	if ok {
+		s.reads++
+	}
 	return d, ok, nil
 }
 
@@ -107,14 +130,20 @@ func (s *MemStore) Contains(key PageKey) bool {
 // Len implements Store.
 func (s *MemStore) Len() int { return len(s.pages) }
 
-// DeletePage implements Deleter; memory pages release immediately.
+// DeletePage implements Store; memory pages release immediately.
 func (s *MemStore) DeletePage(key PageKey) bool {
 	_, ok := s.pages[key]
 	delete(s.pages, key)
 	return ok
 }
 
-var (
-	_ Store   = (*MemStore)(nil)
-	_ Deleter = (*MemStore)(nil)
-)
+// Sync implements Store; memory has nothing to flush.
+func (s *MemStore) Sync() error { return nil }
+
+// StoreIO implements Store: pages written, and present pages read.
+func (s *MemStore) StoreIO() (reads, writes int64) { return s.reads, s.writes }
+
+// Close implements Store; memory has nothing to release.
+func (s *MemStore) Close() error { return nil }
+
+var _ Store = (*MemStore)(nil)
