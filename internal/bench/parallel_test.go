@@ -2,6 +2,7 @@ package bench
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -120,8 +121,11 @@ func TestMeasurePerfReport(t *testing.T) {
 	if r.ExecutorAllocsPerRun > 1 {
 		t.Errorf("executor fault path allocates: %.2f allocs/run", r.ExecutorAllocsPerRun)
 	}
+	if r.Host.CPUModel == "" || r.Host.NumCPU != runtime.NumCPU() || r.Host.GoVersion != runtime.Version() {
+		t.Errorf("host fingerprint %+v does not describe this host", r.Host)
+	}
 	js := r.JSON()
-	for _, field := range []string{"sweep_cells_per_sec", "executor_ns_per_command", "executor_allocs_per_run"} {
+	for _, field := range []string{"sweep_cells_per_sec", "executor_ns_per_command", "executor_allocs_per_run", "cpu_model", "nproc", "go_version"} {
 		if !strings.Contains(js, field) {
 			t.Fatalf("JSON missing %q:\n%s", field, js)
 		}

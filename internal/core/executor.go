@@ -45,13 +45,6 @@ type Executor struct {
 	// io.Writer into the classic one-line-per-command format.
 	Trace kevent.Sink
 
-	// ForceChecked disables the verified-container fast path, running the
-	// per-command operand-kind and range checks even for specs the static
-	// verifier proved safe. Benchmarks use it to measure the cost of the
-	// waived checks; it is also an escape hatch if the verifier is ever
-	// suspected of a soundness bug.
-	ForceChecked bool
-
 	// MaxSteps bounds commands per outer activation as a hard backstop
 	// against runaway policies. On the sim the adaptive security checker
 	// handles the timed case; on the realtime substrate, which has no
@@ -63,7 +56,7 @@ type Executor struct {
 
 	// FlushQuantum caps the virtual time the executor accrues locally
 	// before charging it to the kernel clock in one batch. Charging the
-	// clock per command walks the event heap on every command; batching
+	// clock per command walks the event queue on every command; batching
 	// amortizes that while flushCharge's event-boundary stepping keeps
 	// every scheduled callback (security-checker wakeups, disk
 	// completions) firing at exactly the clock it would see under
@@ -273,15 +266,9 @@ func (x *Executor) exec(c *Container, ev, depth int, steps *int) (*Operand, erro
 	prog := c.decoded[ev]
 	per := x.Costs.PerCommand
 	quantum := x.FlushQuantum
-	// chk enables the per-command checks the static verifier makes
-	// redundant: operand kinds, read-only writes, jump-target and
-	// command-counter ranges. Runtime-state checks (empty queues and
-	// registers, orphaned frames, division by zero, step/time budgets) are
-	// never waived — the verifier cannot prove those.
-	chk := x.ForceChecked || !c.verified
 	cc := 1 // CC 0 is the magic word
 	for {
-		if chk && (cc < 1 || cc >= len(prog)) {
+		if cc < 1 || cc >= len(prog) {
 			return nil, x.fail(c, ev, cc, "command counter out of range (missing Return?)")
 		}
 		*steps++
@@ -317,13 +304,11 @@ func (x *Executor) exec(c *Container, ev, depth int, steps *int) (*Operand, erro
 
 		case OpArith:
 			dst := &c.operands[op1]
-			if chk {
-				if dst.Kind != KindInt {
-					return nil, x.fail(c, ev, cc, "Arith destination %#02x (%s) is %v", op1, dst.Name, dst.Kind)
-				}
-				if dst.readOnly || dst.live != nil {
-					return nil, x.fail(c, ev, cc, "Arith write to read-only operand %#02x (%s)", op1, dst.Name)
-				}
+			if dst.Kind != KindInt {
+				return nil, x.fail(c, ev, cc, "Arith destination %#02x (%s) is %v", op1, dst.Name, dst.Kind)
+			}
+			if dst.readOnly || dst.live != nil {
+				return nil, x.fail(c, ev, cc, "Arith write to read-only operand %#02x (%s)", op1, dst.Name)
 			}
 			var src int64
 			switch flag {
@@ -369,7 +354,7 @@ func (x *Executor) exec(c *Container, ev, depth int, steps *int) (*Operand, erro
 			// scan loops and intOp is just over the compiler's inline
 			// budget. The error path falls back to intOp for diagnostics.
 			ao, bo := &c.operands[op1], &c.operands[op2]
-			if chk && (ao.Kind != KindInt || bo.Kind != KindInt) {
+			if ao.Kind != KindInt || bo.Kind != KindInt {
 				if _, err := x.intOp(c, ev, cc, op1); err != nil {
 					return nil, err
 				}
@@ -438,7 +423,7 @@ func (x *Executor) exec(c *Container, ev, depth int, steps *int) (*Operand, erro
 				return nil, err
 			}
 			reg := &c.operands[op2]
-			if chk && reg.Kind != KindPage {
+			if reg.Kind != KindPage {
 				return nil, x.fail(c, ev, cc, "InQ operand %#02x is %v, want page", op2, reg.Kind)
 			}
 			c.cr = reg.Page != nil && reg.Page.InQueue(q)
@@ -458,7 +443,7 @@ func (x *Executor) exec(c *Container, ev, depth int, steps *int) (*Operand, erro
 			}
 			c.cr = false
 			if take {
-				if chk && (target < 1 || target >= len(prog)) {
+				if target < 1 || target >= len(prog) {
 					return nil, x.fail(c, ev, cc, "jump target %d out of range", target)
 				}
 				cc = target
@@ -471,7 +456,7 @@ func (x *Executor) exec(c *Container, ev, depth int, steps *int) (*Operand, erro
 				return nil, err
 			}
 			reg := &c.operands[op1]
-			if chk && reg.Kind != KindPage {
+			if reg.Kind != KindPage {
 				return nil, x.fail(c, ev, cc, "DeQueue destination %#02x is %v, want page", op1, reg.Kind)
 			}
 			if err := x.checkOverwrite(c, ev, cc, reg); err != nil {
@@ -578,7 +563,7 @@ func (x *Executor) exec(c *Container, ev, depth int, steps *int) (*Operand, erro
 
 		case OpFlush:
 			reg := &c.operands[op1]
-			if chk && reg.Kind != KindPage {
+			if reg.Kind != KindPage {
 				return nil, x.fail(c, ev, cc, "Flush operand %#02x is %v, want page", op1, reg.Kind)
 			}
 			if reg.Page == nil {
@@ -640,7 +625,7 @@ func (x *Executor) exec(c *Container, ev, depth int, steps *int) (*Operand, erro
 
 		case OpFind:
 			reg := &c.operands[op1]
-			if chk && reg.Kind != KindPage {
+			if reg.Kind != KindPage {
 				return nil, x.fail(c, ev, cc, "Find destination %#02x is %v, want page", op1, reg.Kind)
 			}
 			if err := x.checkOverwrite(c, ev, cc, reg); err != nil {

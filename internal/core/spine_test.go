@@ -30,7 +30,7 @@ func TestEventSpineFaultPathZeroAlloc(t *testing.T) {
 		c.Free.EnqueueHead(res.Page)
 		c.operands[SlotPageReg].Page = nil
 	}
-	// Warm up so one-time growth (registry scope slices, event heap) does
+	// Warm up so one-time growth (registry scope slices, event queue) does
 	// not count against the steady state.
 	for i := 0; i < 64; i++ {
 		run()

@@ -124,21 +124,38 @@ func TestVerifierRejectsFrameLeakLoop(t *testing.T) {
 	}
 }
 
-// TestVerifiedBitLifecycle: accepted specs run on the unchecked fast path;
-// programs injected behind the verifier's back drop the waiver.
-func TestVerifiedBitLifecycle(t *testing.T) {
-	k := testKernel(64)
-	sp := k.NewSpace()
-	_, c, err := k.Allocate(sp, 4*4096, WithPolicy(simpleSpec(4)))
-	if err != nil {
-		t.Fatal(err)
+// TestAcceptedSpecKeepsRuntimeChecks: the verifier admits a spec but
+// waives no per-command check. A program injected into an accepted
+// container behind the verifier's back still raises a typed PolicyFault,
+// not a panic, for each misuse the verifier would have refused.
+func TestAcceptedSpecKeepsRuntimeChecks(t *testing.T) {
+	ret := Encode(OpReturn, SlotZero, 0, 0)
+	cases := []struct {
+		name, want string
+		prog       []Command
+	}{
+		{"missing Return", "command counter out of range", []Command{Encode(OpArith, SlotScratch, 0, ArithInc)}},
+		{"jump target", "jump target 9 out of range", []Command{Encode(OpJump, JumpAlways, 0, 9), ret}},
+		{"Arith kind", "Arith destination", []Command{Encode(OpArith, SlotFreeQueue, SlotOne, ArithAdd), ret}},
+		{"read-only write", "read-only", []Command{Encode(OpArith, SlotOne, SlotOne, ArithAdd), ret}},
+		{"Comp kind", "want int", []Command{Encode(OpComp, SlotFreeQueue, SlotOne, CompEQ), ret}},
+		{"InQ kind", "want page", []Command{Encode(OpInQ, SlotFreeQueue, SlotScratch, 0), ret}},
+		{"DeQueue kind", "want page", []Command{Encode(OpDeQueue, SlotScratch, SlotFreeQueue, QueueHead), ret}},
+		{"Flush kind", "want page", []Command{Encode(OpFlush, SlotScratch, 0, 0), ret}},
+		{"Find kind", "want page", []Command{Encode(OpFind, SlotScratch, SlotZero, 0), ret}},
 	}
-	if !c.Verified() {
-		t.Fatal("accepted spec must set the verified bit")
-	}
-	c.AppendEventForTest(NewProgram(Encode(OpReturn, 0, 0, 0)))
-	if c.Verified() {
-		t.Fatal("AppendEventForTest must clear the verified bit")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			k := testKernel(64)
+			_, c, err := k.Allocate(k.NewSpace(), 4*4096, WithPolicy(simpleSpec(4)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = runProg(t, k, c, tc.prog...)
+			if !errors.Is(err, hiperr.ErrPolicyFault) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want a PolicyFault containing %q", err, tc.want)
+			}
+		})
 	}
 }
 
@@ -156,12 +173,8 @@ func TestAllowUnboundedDowngrade(t *testing.T) {
 		Encode(OpReturn, SlotPageReg, 0, 0),
 	)
 	k.Executor.MaxSteps = 100 // terminate quickly if executed
-	_, c, err := k.Allocate(sp, 4*4096, WithPolicy(spec))
-	if err != nil {
+	if _, _, err := k.Allocate(sp, 4*4096, WithPolicy(spec)); err != nil {
 		t.Fatalf("AllowUnbounded must accept the infinite loop: %v", err)
-	}
-	if !c.Verified() {
-		t.Fatal("boundedness waiver must not clear the verified bit (kind safety is independent)")
 	}
 
 	// Kind errors still reject.
@@ -193,28 +206,5 @@ func TestVerifyDiagEvents(t *testing.T) {
 	}
 	if g.Flags[kevent.EvVerifyDiag] == 0 {
 		t.Fatal("error-severity diagnostics must set the event flag")
-	}
-}
-
-// TestForceCheckedEquivalence: the checked and unchecked interpreters must
-// agree on a verified program's result.
-func TestForceCheckedEquivalence(t *testing.T) {
-	run := func(force bool) int64 {
-		k := testKernel(64)
-		k.Executor.ForceChecked = force
-		sp := k.NewSpace()
-		e, c, err := k.Allocate(sp, 8*4096, WithPolicy(simpleSpec(8)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := int64(0); i < 6; i++ {
-			if _, err := sp.Touch(e.Start + i*4096); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return int64(c.Allocated())
-	}
-	if a, b := run(true), run(false); a != b {
-		t.Fatalf("checked run allocated %d, fast-path run %d", a, b)
 	}
 }

@@ -246,10 +246,10 @@ func (s *Server) forget(c net.Conn) {
 // handle runs one connection: a reader goroutine decodes frames into a
 // bounded queue; this goroutine batches them onto the loop and writes
 // replies. On any exit path the session's regions are freed through the
-// loop, so a connection kill mid-stream never leaks kernel state.
+// loop, so a connection kill mid-stream never leaks kernel state, and the
+// reader has exited before handle returns.
 func (s *Server) handle(c net.Conn) {
 	defer s.forget(c)
-	defer c.Close()
 
 	sess := core.NewCacheSession()
 	defer func() {
@@ -259,9 +259,19 @@ func (s *Server) handle(c net.Conn) {
 	}()
 
 	reqs := make(chan wire.Request, 4*s.opts.maxBatch)
-	done := make(chan struct{}) // unblocks the reader if the batcher quits first
-	defer close(done)
-	go s.readLoop(c, reqs, done)
+	done := make(chan struct{}) // unblocks the reader's send if the batcher quits first
+	readerExited := make(chan struct{})
+	go func() {
+		defer close(readerExited)
+		s.readLoop(c, reqs, done)
+	}()
+	defer func() {
+		// Closing the conn unblocks the reader's read; wait for it so the
+		// server's WaitGroup covers the reader too.
+		close(done)
+		c.Close()
+		<-readerExited
+	}()
 
 	out := bufio.NewWriter(c)
 	batch := make([]wire.Request, 0, s.opts.maxBatch)

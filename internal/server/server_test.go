@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -336,4 +337,40 @@ func BenchmarkSubmission(b *testing.B) {
 			})
 		})
 	}
+}
+
+// TestCloseWaitsForReaders: Close returns only after every goroutine the
+// server started has exited, the per-connection readers included. Clients
+// keep traffic flowing into Close so some handlers quit on a failed write
+// while their reader is still blocked in a read.
+func TestCloseWaitsForReaders(t *testing.T) {
+	srv := New(substrate.NewMemStore(testPageSize, true))
+	if err := srv.ListenAndServe("127.0.0.1:0"); err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		c, err := Dial(srv.Addr().String())
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		defer c.Close()
+		r, err := c.Open(4)
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for c.TouchPage(r, 0) == nil {
+			}
+		}()
+	}
+	time.Sleep(2 * time.Millisecond) // let traffic flow
+	srv.Close()
+	buf := make([]byte, 1<<20)
+	if stacks := buf[:runtime.Stack(buf, true)]; bytes.Contains(stacks, []byte("(*Server).readLoop")) {
+		t.Fatalf("a connection reader outlived Server.Close:\n%s", stacks)
+	}
+	wg.Wait()
 }
