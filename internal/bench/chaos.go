@@ -28,7 +28,9 @@ type ChaosConfig struct {
 }
 
 // DefaultChaos returns the full-size chaos soak for seed.
-func DefaultChaos(seed uint64) ChaosConfig { return ChaosConfig{Seed: seed, Frames: 512, Touches: 12000} }
+func DefaultChaos(seed uint64) ChaosConfig {
+	return ChaosConfig{Seed: seed, Frames: 512, Touches: 12000}
+}
 
 // QuickChaos returns the -quick scaling.
 func QuickChaos(seed uint64) ChaosConfig { return ChaosConfig{Seed: seed, Frames: 512, Touches: 3000} }

@@ -405,7 +405,7 @@ func (a *analysis) structural(ev int, prog isa.Program) bool {
 // self recursion) and for static nesting deeper than the executor budget.
 func (a *analysis) callGraph() {
 	n := len(a.u.Events)
-	edges := make([][]int, n)     // callee event numbers
+	edges := make([][]int, n)       // callee event numbers
 	sites := make([]map[int]int, n) // callee -> first Activate CC
 	for ev, prog := range a.u.Events {
 		if prog == nil {

@@ -351,9 +351,9 @@ func TestCounterProgressLoopClean(t *testing.T) {
 // that today only die at the checker timeout.
 func TestFrameLeakLoop(t *testing.T) {
 	u := unit(t, isa.NewProgram(
-		isa.Encode(isa.OpRequest, isa.SlotOne, 0, 0),      // CC1
+		isa.Encode(isa.OpRequest, isa.SlotOne, 0, 0),        // CC1
 		isa.Encode(isa.OpEmptyQ, isa.SlotActiveQueue, 0, 0), // CC2
-		isa.Encode(isa.OpJump, isa.JumpIfTrue, 0, 1),      // CC3: loop blind to grant
+		isa.Encode(isa.OpJump, isa.JumpIfTrue, 0, 1),        // CC3: loop blind to grant
 		isa.Encode(isa.OpReturn, 0, 0, 0),
 	), ret())
 	if !hasCode(Analyze(u), CodeFrameLeak, SevError) {
@@ -365,11 +365,11 @@ func TestFrameLeakLoop(t *testing.T) {
 // after it, with an exit on failure, bounds the loop acceptably.
 func TestRequestLoopConditionedClean(t *testing.T) {
 	u := unit(t, isa.NewProgram(
-		isa.Encode(isa.OpRequest, isa.SlotOne, 0, 0),       // CC1
-		isa.Encode(isa.OpJump, isa.JumpIfFalse, 0, 5),      // CC2: exit on denial
-		isa.Encode(isa.OpEmptyQ, isa.SlotFreeQueue, 0, 0),  // CC3
-		isa.Encode(isa.OpJump, isa.JumpIfTrue, 0, 1),       // CC4
-		isa.Encode(isa.OpReturn, 0, 0, 0),                  // CC5
+		isa.Encode(isa.OpRequest, isa.SlotOne, 0, 0),      // CC1
+		isa.Encode(isa.OpJump, isa.JumpIfFalse, 0, 5),     // CC2: exit on denial
+		isa.Encode(isa.OpEmptyQ, isa.SlotFreeQueue, 0, 0), // CC3
+		isa.Encode(isa.OpJump, isa.JumpIfTrue, 0, 1),      // CC4
+		isa.Encode(isa.OpReturn, 0, 0, 0),                 // CC5
 	), ret())
 	if hasCode(Analyze(u), CodeFrameLeak, SevError) {
 		t.Fatalf("grant-conditioned Request loop must not be a frame leak: %v", Analyze(u))
@@ -435,10 +435,10 @@ func TestDiagnosticOrdering(t *testing.T) {
 // CR-false branch it is empty.
 func TestFindCorrelation(t *testing.T) {
 	u := unit(t, isa.NewProgram(
-		isa.Encode(isa.OpFind, isa.SlotUser, isa.SlotUser+1, 0), // CC1
-		isa.Encode(isa.OpJump, isa.JumpIfFalse, 0, 4),           // CC2
+		isa.Encode(isa.OpFind, isa.SlotUser, isa.SlotUser+1, 0),                     // CC1
+		isa.Encode(isa.OpJump, isa.JumpIfFalse, 0, 4),                               // CC2
 		isa.Encode(isa.OpEnQueue, isa.SlotUser, isa.SlotActiveQueue, isa.QueueTail), // CC3: full here
-		isa.Encode(isa.OpReturn, 0, 0, 0),                       // CC4
+		isa.Encode(isa.OpReturn, 0, 0, 0),                                           // CC4
 	), ret())
 	if hasCode(Analyze(u), CodeEmptyReg, SevWarning) {
 		t.Fatalf("CR-true branch after Find must know the register is full: %v", Analyze(u))
@@ -446,10 +446,10 @@ func TestFindCorrelation(t *testing.T) {
 
 	// Using the register on the not-found branch is flagged.
 	u = unit(t, isa.NewProgram(
-		isa.Encode(isa.OpFind, isa.SlotUser, isa.SlotUser+1, 0),  // CC1
-		isa.Encode(isa.OpJump, isa.JumpIfTrue, 0, 4),             // CC2
+		isa.Encode(isa.OpFind, isa.SlotUser, isa.SlotUser+1, 0),                     // CC1
+		isa.Encode(isa.OpJump, isa.JumpIfTrue, 0, 4),                                // CC2
 		isa.Encode(isa.OpEnQueue, isa.SlotUser, isa.SlotActiveQueue, isa.QueueTail), // CC3: empty here
-		isa.Encode(isa.OpReturn, 0, 0, 0),                        // CC4
+		isa.Encode(isa.OpReturn, 0, 0, 0),                                           // CC4
 	), ret())
 	if !hasCode(Analyze(u), CodeEmptyReg, SevWarning) {
 		t.Fatal("CR-false branch after Find must know the register is empty")
